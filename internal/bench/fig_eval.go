@@ -177,7 +177,7 @@ func Fig13Latency(o RunOpts) (*Report, error) {
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("measured: latency cut %.0f%% on average (verifier %.0f%%, generator %.0f%%)",
 			metrics.Mean(cuts), metrics.Mean(verCuts), metrics.Mean(genCuts)),
-		"paper: 38-68%% end-to-end latency reduction; verifier latency cut 75-85%%, generator 36-66%%")
+		"paper: 38-68% end-to-end latency reduction; verifier latency cut 75-85%, generator 36-66%")
 	return r, nil
 }
 

@@ -16,7 +16,9 @@
 // Router load signals (device clock, pending population, outstanding
 // work) are read from the loops' O(1) incremental indexes and cached in
 // views refreshed only for touched devices, which keeps work-aware
-// routing (least-work, JSQ, P2C, prefix fallback) cheap at fleet scale.
+// routing (least-work, JSQ, P2C, prefix fallback) cheap at fleet scale;
+// Ranked routers (least-work, JSQ) pick from a tournament tree over the
+// views (rank.go) instead of scanning them.
 //
 // A request is routed once, at its arrival instant, using the routers'
 // view of live device state; when a device fail-stops, its unfinished
@@ -316,9 +318,14 @@ type run struct {
 
 	// Router device views: vs holds one view per routable device in index
 	// order, posInVs maps a device index to its position in vs (-1 while
-	// warming, draining, or failed).
+	// warming, draining, or failed). rank is the tournament tree over vs
+	// when the router is Ranked (nil otherwise).
 	vs      []DeviceView
 	posInVs []int
+	rank    *rankTree
+
+	// keys interns request prefix keys per problem for the run.
+	keys map[*workload.Problem]string
 
 	wake   *wakeHeap // sequential engine's wake index; nil when sharded
 	dueBuf []int
@@ -405,6 +412,7 @@ func (f *Fleet) newRun(reqs []core.Request) (*run, error) {
 		requeues:    make(map[int]int),
 		fails:       failSchedule(devs),
 		routeRand:   rng.New(f.cfg.Seed).Child("cluster/router"),
+		keys:        make(map[*workload.Problem]string),
 	}
 	if wa, ok := f.cfg.Router.(WorkAware); ok {
 		r.needWork = wa.NeedsOutstandingWork()
@@ -426,6 +434,10 @@ func (f *Fleet) newRun(reqs []core.Request) (*run, error) {
 	for i, d := range devs {
 		r.vs[i] = DeviceView{Index: i, Speed: d.speed, Mem: d.loop.Plane()}
 		r.posInVs[i] = i
+	}
+	if rk, ok := f.cfg.Router.(Ranked); ok {
+		r.rank = newRankTree(rk)
+		r.rank.build(r.vs)
 	}
 	r.wake = newWakeHeap(len(devs))
 	if r.hedging() {
@@ -526,9 +538,18 @@ func (r *run) buildResult(sv core.ServedResult, dev int) Result {
 	return Result{ServedResult: sv, Device: dev, Requeues: r.requeues[sv.Tag]}
 }
 
-// refreshView is O(1) and called only for devices an event actually
-// touched.
+// refreshView re-reads one device's load into its router view and
+// re-ranks it: O(1), plus O(log n) under a Ranked router, and called only
+// for devices an event actually touched.
 func (r *run) refreshView(dev int) {
+	r.writeView(dev)
+	r.rerank(dev)
+}
+
+// writeView is refreshView's per-device half: it writes only the
+// device's own view slot, so shard workers run it for their devices
+// concurrently; the coordinator re-ranks them after the pass.
+func (r *run) writeView(dev int) {
 	p := r.posInVs[dev]
 	if p < 0 {
 		return
@@ -545,6 +566,15 @@ func (r *run) refreshView(dev int) {
 	}
 }
 
+// rerank replays the device's tournament-tree path (coordinator only:
+// the path shares nodes with other devices').
+func (r *run) rerank(dev int) {
+	if p := r.posInVs[dev]; p >= 0 && r.rank != nil {
+		r.rank.fix(r.vs, p)
+	}
+}
+
+// dropView removes a device from the routable set (fail-stop or drain).
 func (r *run) dropView(dev int) {
 	p := r.posInVs[dev]
 	if p < 0 {
@@ -555,6 +585,14 @@ func (r *run) dropView(dev int) {
 	r.posInVs[dev] = -1
 	for q := p; q < len(r.vs); q++ {
 		r.posInVs[r.vs[q].Index] = q
+	}
+	r.rebuildRank()
+}
+
+// rebuildRank re-ranks every view after the routable set changed.
+func (r *run) rebuildRank() {
+	if r.rank != nil {
+		r.rank.build(r.vs)
 	}
 }
 
@@ -844,14 +882,19 @@ func (r *run) routeArrival(pr pendingReq) error {
 	rv := RequestView{
 		Tag:          pr.req.Tag,
 		Arrival:      at,
-		PrefixKey:    prefixKey(pr.req.Problem),
+		PrefixKey:    r.prefixKey(pr.req.Problem),
 		PromptTokens: pr.req.Problem.PromptTokens,
 		Requeued:     pr.requeues > 0,
 	}
-	pick := r.f.cfg.Router.Route(rv, r.vs, r.routeRand)
-	if pick < 0 || pick >= len(r.vs) {
-		return fmt.Errorf("cluster: router %s picked %d of %d alive devices",
-			r.f.cfg.Router.Name(), pick, len(r.vs))
+	var pick int
+	if r.rank != nil {
+		pick = r.rank.min()
+	} else {
+		pick = r.f.cfg.Router.Route(rv, r.vs, r.routeRand)
+		if pick < 0 || pick >= len(r.vs) {
+			return fmt.Errorf("cluster: router %s picked %d of %d alive devices",
+				r.f.cfg.Router.Name(), pick, len(r.vs))
+		}
 	}
 	di := r.vs[pick].Index
 	r.emitRoute(rv.Tag, at, di)
@@ -973,11 +1016,15 @@ func (r *run) routeTwin(rq core.Request, rv RequestView, primaryPick int) error 
 // the event window are stepped, and the router's device views are
 // refreshed incrementally for exactly the devices an event touched —
 // O(events·log devices) overall instead of the O(events·devices) full
-// re-scan per event.
+// re-scan per event. Under a Ranked router (least-work, jsq) each refresh
+// also replays the view's path in a tournament tree whose root is the
+// pick, so routing is O(log devices) per request too; other routers scan
+// the views in Route.
 //
 // With Config.Shards >= 2, Run dispatches to the sharded engine
 // (shard.go), which produces bit-identical outcomes while advancing
-// device shards on parallel workers between cross-shard events.
+// device shards on parallel workers between cross-shard events. Both
+// engines route Ranked routers through the same tree.
 func (f *Fleet) Run(reqs []core.Request) (*Outcome, error) {
 	if f.used {
 		return nil, fmt.Errorf("cluster: Fleet is single-run; build a new Fleet per stream")
@@ -1178,7 +1225,13 @@ func (r *run) finish() {
 }
 
 // prefixKey identifies a request's shared prompt prefix: requests for the
-// same problem share the prompt's radix-cache path.
-func prefixKey(p *workload.Problem) string {
-	return fmt.Sprintf("%s/%d", p.Dataset, p.Index)
+// same problem share the prompt's radix-cache path. Keys are formatted
+// once per problem and interned for the run.
+func (r *run) prefixKey(p *workload.Problem) string {
+	k, ok := r.keys[p]
+	if !ok {
+		k = fmt.Sprintf("%s/%d", p.Dataset, p.Index)
+		r.keys[p] = k
+	}
+	return k
 }

@@ -7,10 +7,7 @@ package cluster
 // event concerns — O(log n) dispatch per event — instead of re-scanning
 // and re-stepping all n devices per event.
 
-import (
-	"container/heap"
-	"sort"
-)
+import "sort"
 
 // Event kinds at one instant resolve in a fixed priority — the shared
 // ordering contract of both execution engines:
@@ -91,7 +88,9 @@ func failSchedule(devs []*device) []failEvent {
 // wakeHeap is an indexed min-heap of device wake times: the earliest
 // horizon at which each device's loop would make progress. Devices with
 // nothing to do are absent. pos tracks each device's heap position so
-// updates are O(log n).
+// updates are O(log n). Items order by (at, dev). The sift operations
+// are written out on []wakeItem — container/heap's any-typed Push and
+// Pop would box an item on every insert.
 type wakeHeap struct {
 	items []wakeItem
 	pos   []int // device index -> heap position, -1 when absent
@@ -111,27 +110,56 @@ func newWakeHeap(n int) *wakeHeap {
 }
 
 func (w *wakeHeap) Len() int { return len(w.items) }
-func (w *wakeHeap) Less(i, j int) bool {
+
+func (w *wakeHeap) less(i, j int) bool {
 	if w.items[i].at != w.items[j].at {
 		return w.items[i].at < w.items[j].at
 	}
 	return w.items[i].dev < w.items[j].dev
 }
-func (w *wakeHeap) Swap(i, j int) {
+
+func (w *wakeHeap) swap(i, j int) {
 	w.items[i], w.items[j] = w.items[j], w.items[i]
 	w.pos[w.items[i].dev] = i
 	w.pos[w.items[j].dev] = j
 }
-func (w *wakeHeap) Push(x any) {
-	it := x.(wakeItem)
-	w.pos[it.dev] = len(w.items)
-	w.items = append(w.items, it)
+
+func (w *wakeHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !w.less(j, i) {
+			break
+		}
+		w.swap(i, j)
+		j = i
+	}
 }
-func (w *wakeHeap) Pop() any {
-	it := w.items[len(w.items)-1]
-	w.items = w.items[:len(w.items)-1]
-	w.pos[it.dev] = -1
-	return it
+
+// down sifts item i0 down within items[:n] and reports whether it moved.
+func (w *wakeHeap) down(i0, n int) bool {
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && w.less(j2, j) {
+			j = j2
+		}
+		if !w.less(j, i) {
+			break
+		}
+		w.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+// fix restores the heap order after item i's time changed.
+func (w *wakeHeap) fix(i int) {
+	if !w.down(i, len(w.items)) {
+		w.up(i)
+	}
 }
 
 // grow extends the heap's device-index space by n devices (warm-pool
@@ -149,17 +177,34 @@ func (w *wakeHeap) update(dev int, at float64) {
 			return
 		}
 		w.items[p].at = at
-		heap.Fix(w, p)
+		w.fix(p)
 		return
 	}
-	heap.Push(w, wakeItem{dev: dev, at: at})
+	w.pos[dev] = len(w.items)
+	w.items = append(w.items, wakeItem{dev: dev, at: at})
+	w.up(len(w.items) - 1)
 }
 
 // remove deletes the device from the heap if present.
 func (w *wakeHeap) remove(dev int) {
 	if p := w.pos[dev]; p >= 0 {
-		heap.Remove(w, p)
+		w.removeAt(p)
 	}
+}
+
+// removeAt deletes the item at heap position p and returns its device.
+func (w *wakeHeap) removeAt(p int) int {
+	n := len(w.items) - 1
+	if p != n {
+		w.swap(p, n)
+		if !w.down(p, n) {
+			w.up(p)
+		}
+	}
+	dev := w.items[n].dev
+	w.items = w.items[:n]
+	w.pos[dev] = -1
+	return dev
 }
 
 // min returns the earliest wake time in the heap.
@@ -175,8 +220,8 @@ func (w *wakeHeap) min() (float64, bool) {
 // the heap), removing them from the heap, and returns buf sorted by
 // device index — the deterministic stepping order of a collect pass.
 func (w *wakeHeap) popDue(horizon float64, buf []int) []int {
-	for w.Len() > 0 && (horizon < 0 || w.items[0].at <= horizon) {
-		buf = append(buf, heap.Pop(w).(wakeItem).dev)
+	for len(w.items) > 0 && (horizon < 0 || w.items[0].at <= horizon) {
+		buf = append(buf, w.removeAt(0))
 	}
 	sort.Ints(buf)
 	return buf

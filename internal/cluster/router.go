@@ -112,27 +112,50 @@ type WorkAware interface {
 	NeedsOutstandingWork() bool
 }
 
-// LeastWork routes to the device with the smallest expected drain time:
-// estimated outstanding work divided by device speed (ties by pending
-// count, then index — the shared better() ordering). It is the
-// fleet-level analogue of the SJF serve policy — both consume
-// sched.EstimateDemand — and the strongest signal for heterogeneous
-// fleets, at the cost of full fleet-state inspection per request.
-type LeastWork struct{}
+// Ranked marks routers whose pick is always the minimum of a fixed
+// strict total order over device views: the order does not depend on
+// the request, the router's state, or its random stream, and Route must
+// return exactly argmin over devices under Less. The fleet exploits the
+// contract with a tournament tree over its device views, re-ranked in
+// O(log n) per view refresh, and takes the root instead of calling
+// Route — so a Ranked router's Route must not consume randomness or
+// keep state either. Route stays the reference implementation (the
+// fleet still calls it over partial views, such as a hedge twin's).
+type Ranked interface {
+	Less(a, b DeviceView) bool
+}
 
-func (LeastWork) Name() string               { return "least-work" }
-func (LeastWork) NeedsOutstandingWork() bool { return true }
-func (LeastWork) Route(_ RequestView, devices []DeviceView, _ *rng.Stream) int {
+// argmin returns the position of the minimum of devices (non-empty)
+// under the strict total order less — the shared scan of the Ranked
+// routers. The order takes pointers so the inlined scan compares views
+// in place instead of copying two per device.
+func argmin(devices []DeviceView, less func(a, b *DeviceView) bool) int {
 	best := 0
 	for i := 1; i < len(devices); i++ {
-		if better(devices[i], devices[best]) {
+		if less(&devices[i], &devices[best]) {
 			best = i
 		}
 	}
 	return best
 }
 
-func drainTime(d DeviceView) float64 {
+// LeastWork routes to the device with the smallest expected drain time:
+// estimated outstanding work divided by device speed (ties by pending
+// count, then index — the shared better() ordering). It is the
+// fleet-level analogue of the SJF serve policy — both consume
+// sched.EstimateDemand — and the strongest signal for heterogeneous
+// fleets. It is Ranked, so the fleet routes it in O(log devices) per
+// request from its tournament tree rather than scanning every view.
+type LeastWork struct{}
+
+func (LeastWork) Name() string               { return "least-work" }
+func (LeastWork) NeedsOutstandingWork() bool { return true }
+func (LeastWork) Less(a, b DeviceView) bool  { return better(&a, &b) }
+func (LeastWork) Route(_ RequestView, devices []DeviceView, _ *rng.Stream) int {
+	return argmin(devices, better)
+}
+
+func drainTime(d *DeviceView) float64 {
 	if d.Speed <= 0 {
 		return d.OutstandingWork
 	}
@@ -140,18 +163,21 @@ func drainTime(d DeviceView) float64 {
 }
 
 // JSQ joins the shortest queue: the device with the fewest outstanding
-// requests, ties to the lower index.
+// requests, ties to the lower index. Like LeastWork it is Ranked.
 type JSQ struct{}
 
-func (JSQ) Name() string { return "jsq" }
+func (JSQ) Name() string              { return "jsq" }
+func (JSQ) Less(a, b DeviceView) bool { return shorter(&a, &b) }
 func (JSQ) Route(_ RequestView, devices []DeviceView, _ *rng.Stream) int {
-	best := 0
-	for i := 1; i < len(devices); i++ {
-		if devices[i].Pending < devices[best].Pending {
-			best = i
-		}
+	return argmin(devices, shorter)
+}
+
+// shorter orders devices by pending count, then index.
+func shorter(a, b *DeviceView) bool {
+	if a.Pending != b.Pending {
+		return a.Pending < b.Pending
 	}
-	return best
+	return a.Index < b.Index
 }
 
 // PowerOfTwo samples two distinct candidate devices uniformly and joins
@@ -171,7 +197,7 @@ func (PowerOfTwo) Route(_ RequestView, devices []DeviceView, r *rng.Stream) int 
 	if j >= i {
 		j++
 	}
-	if better(devices[j], devices[i]) {
+	if better(&devices[j], &devices[i]) {
 		return j
 	}
 	return i
@@ -179,7 +205,7 @@ func (PowerOfTwo) Route(_ RequestView, devices []DeviceView, r *rng.Stream) int 
 
 // better orders devices by expected drain time, then pending count, then
 // index — the shared load comparison of the state-aware routers.
-func better(a, b DeviceView) bool {
+func better(a, b *DeviceView) bool {
 	da, db := drainTime(a), drainTime(b)
 	if da != db {
 		return da < db

@@ -256,10 +256,16 @@ func (ss *shardSet) collect(r *run, horizon float64) error {
 				return
 			}
 			ss.updateWakeLocal(r, s, dev)
-			r.refreshView(dev)
+			r.writeView(dev)
 		}
 	}
 	ss.runWorkers(total, worker)
+	// Re-rank on the coordinator: tree paths cross shards.
+	for _, due := range ss.dueBufs {
+		for _, dev := range due {
+			r.rerank(dev)
+		}
+	}
 	return ss.merge(r, nil, nil)
 }
 
@@ -303,7 +309,7 @@ func (ss *shardSet) runSpan(r *run, structAt float64, bounded bool) error {
 		rv := RequestView{
 			Tag:          pr.req.Tag,
 			Arrival:      pr.req.Arrival,
-			PrefixKey:    prefixKey(pr.req.Problem),
+			PrefixKey:    r.prefixKey(pr.req.Problem),
 			PromptTokens: pr.req.Problem.PromptTokens,
 			Requeued:     pr.requeues > 0,
 		}
