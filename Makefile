@@ -29,7 +29,7 @@ cover:
 # Scenario-conformance: replay every named scenario on both targets and
 # require bit-identical agreement with the committed golden traces. The
 # TestGoldenScenarioTraces prefix also matches ...TracesSharded, which
-# replays every cluster golden through the sharded engine (Parallelism 8
+# replays every cluster golden on parallel device shards (Parallelism 8
 # and -1) against the same bytes.
 scenarios:
 	$(GO) test -count=1 -run 'TestGoldenScenarioTraces|TestGoldenTracesDecodable|TestScenarioRunDeterministic' -v .
@@ -51,7 +51,7 @@ bench-regress:
 #   fastttsbench -perf -perf-controller -perf-devices 256,1024 \
 #       -perf-requests 10000 -perf-routers rr,least-work \
 #       -perf-merge BENCH_core.json -out .
-# plus the sharded-engine scaling cells (wall clock by shard count, with
+# plus the shard-scaling cells (wall clock by shard count, with
 # the measurement host's cores/gomaxprocs recorded) from
 #   fastttsbench -perf -perf-parallel -perf-devices 1024 \
 #       -perf-requests 100000 -perf-routers rr,least-work \

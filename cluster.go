@@ -108,12 +108,12 @@ type ClusterConfig struct {
 	Strategy string
 	// Autoscale, when non-nil, attaches the elastic control plane.
 	Autoscale *AutoscaleConfig
-	// Parallelism selects the fleet execution engine: 0 or 1 runs the
-	// sequential event loop (the default), >= 2 runs the deterministic
-	// sharded engine with that many device shards (worker goroutines),
-	// and any negative value uses one shard per available core
-	// (runtime.GOMAXPROCS). Every setting produces bit-identical results
-	// — Parallelism trades wall-clock time only. See
+	// Parallelism is the number of device shards the fleet event loop
+	// steps in parallel: 0 or 1 means one shard, run inline on the
+	// calling goroutine (the default); >= 2 gives that many shards on
+	// worker goroutines; any negative value uses one shard per available
+	// core (runtime.GOMAXPROCS). Every setting produces bit-identical
+	// results — Parallelism trades wall-clock time only. See
 	// docs/ARCHITECTURE.md for the sharding protocol.
 	Parallelism int
 	// Metrics selects Stats's aggregation mode: MetricsExact (default)

@@ -58,8 +58,8 @@ func main() {
 		perfBaseline = flag.String("perf-baseline", "", "previous BENCH_core.json whose 'current' runs become this report's baseline")
 		perfCtl      = flag.Bool("perf-controller", false, "with -perf: measure controller-overhead cells (fleet step cost with the control plane on vs off) instead of the router sweep")
 		perfMerge    = flag.String("perf-merge", "", "with -perf-controller or -perf-parallel: existing BENCH_core.json whose other sections are preserved while the measured section is replaced")
-		perfPar      = flag.Bool("perf-parallel", false, "with -perf: measure sharded-engine wall-clock scaling across -perf-shards instead of the router sweep")
-		perfShards   = flag.String("perf-shards", "1,2,4,8", "comma-separated shard counts for -perf-parallel (1 = sequential engine, always measured as the speedup base)")
+		perfPar      = flag.Bool("perf-parallel", false, "with -perf: measure wall-clock scaling across -perf-shards instead of the router sweep")
+		perfShards   = flag.String("perf-shards", "1,2,4,8", "comma-separated shard counts for -perf-parallel (1 = one inline shard, always measured as the speedup base)")
 	)
 	flag.Parse()
 

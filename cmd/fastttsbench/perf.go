@@ -99,16 +99,16 @@ type ctrlRun struct {
 }
 
 // parRun is one parallel-scaling cell: the identical fleet and stream
-// timed at one shard count. Shards == 1 is the sequential engine and the
-// denominator of SpeedupVsSeq.
+// timed at one shard count. Shards == 1 steps every device inline on one
+// goroutine and is the denominator of SpeedupVsSeq.
 type parRun struct {
 	Devices  int     `json:"devices"`
 	Requests int     `json:"requests"`
 	Router   string  `json:"router"`
 	Shards   int     `json:"shards"`
 	WallMS   float64 `json:"wall_ms"`
-	// SpeedupVsSeq is the sequential cell's wall time over this one; the
-	// engines are bit-identical, so this is pure wall-clock scaling.
+	// SpeedupVsSeq is the 1-shard cell's wall time over this one; every
+	// shard count is bit-identical, so this is pure wall-clock scaling.
 	SpeedupVsSeq float64 `json:"speedup_vs_seq"`
 	Served       int     `json:"served"`
 	EventsPerSec float64 `json:"events_per_sec"`
@@ -139,7 +139,7 @@ type perfReport struct {
 	// ctrlRun), produced by -perf-controller and merged alongside the
 	// main sweep.
 	ControllerOverhead []ctrlRun `json:"controller_overhead,omitempty"`
-	// ParallelScaling holds the sharded-engine wall-clock cells (see
+	// ParallelScaling holds the shard-scaling wall-clock cells (see
 	// parRun), produced by -perf-parallel and merged alongside the main
 	// sweep.
 	ParallelScaling *parSection `json:"parallel_scaling,omitempty"`
@@ -485,11 +485,11 @@ func parCell(devices, requests, shards int, router string, seed uint64) (parRun,
 	return run, nil
 }
 
-// runParallelSweep measures the sharded engine's wall-clock scaling
+// runParallelSweep measures the fleet engine's wall-clock scaling
 // across shard counts and writes (or merges into) BENCH_core.json: when
 // mergePath names an existing report, its other sections are preserved
-// and only parallel_scaling is replaced. Shard count 1 (the sequential
-// engine) is always measured first per (devices, requests, router) cell
+// and only parallel_scaling is replaced. Shard count 1 (every device
+// stepped inline) is always measured first per (devices, requests, router) cell
 // as the speedup denominator; the serving results themselves are
 // bit-identical at every shard count, so served counts must agree across
 // a cell's rows — the sweep fails loudly if they do not.
@@ -530,7 +530,7 @@ func runParallelSweep(deviceList, requestList, shardList []int, routers []string
 					if ns == 1 {
 						seqMS, seqServed = run.WallMS, run.Served
 					} else if run.Served != seqServed {
-						return fmt.Errorf("perf-parallel %dx%d/%s@%d: served %d != sequential %d (engines must be bit-identical)",
+						return fmt.Errorf("perf-parallel %dx%d/%s@%d: served %d != %d at 1 shard (shard counts must be bit-identical)",
 							nd, nr, router, ns, run.Served, seqServed)
 					}
 					if seqMS > 0 && run.WallMS > 0 {

@@ -74,7 +74,7 @@ func ExampleClusterConfig_parallelism() {
 			},
 			Router:      "least-work",
 			Seed:        9,
-			Parallelism: parallelism, // 0: sequential; >= 2: shards; < 0: one per core
+			Parallelism: parallelism, // 0: one inline shard; >= 2: shards; < 0: one per core
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -83,7 +83,10 @@
 // than per-request scans — fleets of hundreds to thousands of devices
 // serve high-rate streams with scheduling overhead that grows with
 // events·log(devices), not events·devices (see README "Performance" and
-// the committed BENCH_core.json trajectory).
+// the committed BENCH_core.json trajectory). One event loop serves every
+// ClusterConfig.Parallelism setting: the default steps all devices
+// inline, more shards step them on parallel workers between cross-shard
+// events, and every setting gives bit-identical results.
 //
 //	cl, _ := fasttts.NewCluster(fasttts.ClusterConfig{
 //		Devices: []fasttts.DeviceSpec{
@@ -110,8 +113,8 @@
 // debt against load balance using actual per-device residency, and
 // FleetStats reports per-device occupancy plus fleet hit/miss/eviction
 // token counts and total re-prefill seconds. The plane is off by
-// default; zero capacity reproduces prior traces bit-identically on
-// both execution engines.
+// default; zero capacity reproduces prior traces bit-identically at
+// every Parallelism setting.
 //
 // # Elastic serving
 //
@@ -161,8 +164,8 @@
 // copies and requeueing the last live one. The compute-budget governor
 // degrades strategies to first-finish under storm tiers and restores
 // them when load clears. Strategies are off by default — an empty
-// Strategy reproduces prior traces bit-identically on both execution
-// engines (see README "Test-time-compute strategies" and
+// Strategy reproduces prior traces bit-identically at every Parallelism
+// setting (see README "Test-time-compute strategies" and
 // `make bench-strategy` for the measured latency/accuracy trade).
 //
 // # Streaming metrics
@@ -175,9 +178,9 @@
 // quantile sketches as they finish (internal/metrics): aggregation
 // state is constant (~20 KiB) no matter how many requests a run
 // serves, percentiles and means stay within a documented <1% relative
-// error of exact, and — because sketch merges are plain integer sums —
-// the sharded fleet engine produces bit-identical streaming stats for
-// every Parallelism setting. Use streaming for million-request runs
+// error of exact, and — because the fleet folds completions in one
+// canonical order — streaming stats are bit-identical for every
+// Parallelism setting. Use streaming for million-request runs
 // where exact retention is the memory ceiling; keep exact wherever
 // conformance against recorded values matters (see README "Streaming
 // metrics" and `make bench-metrics` for the measured error sweep).
@@ -265,7 +268,7 @@ const (
 	// MetricsStreaming aggregates mergeable quantile sketches instead
 	// of retaining samples: constant memory, percentiles within a
 	// documented <1% relative error of exact, bit-identical across
-	// execution engines and shard counts.
+	// shard counts.
 	MetricsStreaming MetricsMode = "streaming"
 )
 

@@ -27,13 +27,12 @@
 // bit-identical fleet-served streams under every router — and, with a
 // controller attached, bit-identical controller action logs.
 //
-// The fleet has two execution engines behind one contract. The default
-// sequential event loop processes global events one at a time. With
-// Config.Shards >= 2 the sharded engine (shard.go) partitions devices
-// into per-shard wake heaps and advances them on parallel workers
-// between cross-shard events, merging completions in the sequential
-// engine's canonical order — outputs are bit-identical byte for byte,
-// at any GOMAXPROCS, for every router and controller. See
+// The fleet has one event loop. It partitions devices into
+// Config.Shards shards (shard.go), each with its own wake heap; one shard
+// runs inline on the driver goroutine, more advance on parallel workers
+// between cross-shard events. Every completion is merged in one canonical
+// order, so outputs are bit-identical byte for byte at every shard count
+// and GOMAXPROCS, for every router and controller. See
 // docs/ARCHITECTURE.md for the barrier protocol.
 package cluster
 
@@ -83,19 +82,20 @@ type Config struct {
 	// feedback controller observing the fleet at a fixed interval and
 	// actuating warm-pool joins, drains, and compute-budget tiers.
 	Control *ControlConfig
-	// Shards selects the execution engine: 0 or 1 runs the sequential
-	// event loop, >= 2 runs the deterministic sharded engine with that
-	// many device shards (worker goroutines), and any negative value
-	// uses runtime.GOMAXPROCS(0) shards. Every setting produces
-	// bit-identical outcomes; Shards trades wall-clock time only.
+	// Shards is the number of device shards the event loop steps in
+	// parallel: 0 and 1 mean one shard, run inline on the calling
+	// goroutine; >= 2 gives that many shards, advanced on worker
+	// goroutines between cross-shard events; any negative value uses
+	// runtime.GOMAXPROCS(0) shards. Every setting produces bit-identical
+	// outcomes; Shards trades wall-clock time only.
 	Shards int
 	// Metrics selects the latency-aggregation mode. ModeExact (the
 	// default, and the golden-conformance path) retains every sample and
 	// sorts once at Stats time. ModeStreaming folds completions into
 	// mergeable quantile sketches as they finish — constant aggregation
 	// state, percentiles within metrics.SketchRelErr of exact, and
-	// bit-identical across engines and shard counts (sketch merges are
-	// integer sums).
+	// bit-identical across shard counts (completions fold in one
+	// canonical order).
 	Metrics metrics.Mode
 	// SLOLatency is the wall-latency target streaming-mode SLO
 	// attainment is counted against (<= 0: no target). Streaming
@@ -119,9 +119,9 @@ type Config struct {
 	// included), and the fleet driver emits routing decisions, requeue
 	// hops, hedge placements, and control actions onto the control
 	// track. nil (the default) is strictly off — no allocations, no
-	// behavioral difference. Both engines emit identical per-track
-	// sequences, so sequential-vs-sharded traces are bit-identical at
-	// every shard count.
+	// behavioral difference. Every shard count emits identical
+	// per-track sequences, so traces are bit-identical across shard
+	// counts.
 	Obs *obs.Recorder
 }
 
@@ -283,6 +283,15 @@ type prefixAcct struct {
 	hit    bool
 }
 
+// prefixCount tallies settled prompt-prefix tokens. Shard workers keep
+// their own; the merge adds them into the run's.
+type prefixCount struct{ hits, misses int64 }
+
+func (c *prefixCount) add(o prefixCount) {
+	c.hits += o.hits
+	c.misses += o.misses
+}
+
 // pendingReq is one request awaiting routing. seq preserves insertion
 // order among equal arrival times (stream order, then requeue order).
 type pendingReq struct {
@@ -294,8 +303,8 @@ type pendingReq struct {
 // run is the mutable state of one fleet event loop: the device set (which
 // may grow as the control plane claims warm-pool instances), the arrival
 // and failure event sources, the router's incrementally maintained device
-// views, the per-device wake heap, and — when a controller is attached —
-// the elastic control-plane state.
+// views, the device shards, and — when a controller is attached — the
+// elastic control-plane state.
 type run struct {
 	f    *Fleet
 	devs []*device
@@ -327,11 +336,10 @@ type run struct {
 	// keys interns request prefix keys per problem for the run.
 	keys map[*workload.Problem]string
 
-	wake   *wakeHeap // sequential engine's wake index; nil when sharded
-	dueBuf []int
-
-	sh  *shardSet          // sharded engine's state; nil when sequential
-	acc metrics.FleetAccum // prefix hit/miss counters, folded into out by finish
+	sh     *shardSet
+	prefix prefixCount         // settled prefix tokens, folded into out by finish
+	serve  *metrics.ServeAccum // streaming aggregation; nil in exact mode
+	twinVs []DeviceView        // routeTwin's scratch view slice
 
 	// Hedging state (nil / empty unless the fleet strategy hedges):
 	// hedges maps an original request tag to its pair state, cancels is
@@ -345,10 +353,10 @@ type run struct {
 	// Observability state (all nil/false without a recorder): obs is the
 	// fleet recorder, ctl its control-plane track, candSpans whether
 	// routing emits scored-candidate spans — only for view-reading
-	// routers, whose arrivals are event barriers in both engines (the
-	// sharded span fast path intentionally routes view-oblivious
-	// arrivals against stale views, so candidate loads there would
-	// diverge between engines; the decisions themselves never read them).
+	// routers, whose arrivals are event barriers (the span fast path
+	// intentionally routes view-oblivious arrivals against stale views,
+	// whose candidate loads would depend on the shard count; the
+	// decisions themselves never read them).
 	obs       *obs.Recorder
 	ctl       *obs.Track
 	candSpans bool
@@ -427,7 +435,7 @@ func (f *Fleet) newRun(reqs []core.Request) (*run, error) {
 		}
 	}
 	if f.cfg.Metrics == metrics.ModeStreaming {
-		r.acc.EnableStreaming(f.cfg.SLOLatency)
+		r.serve = metrics.NewServeAccum(f.cfg.SLOLatency)
 	}
 	r.vs = make([]DeviceView, len(devs))
 	r.posInVs = make([]int, len(devs))
@@ -439,7 +447,7 @@ func (f *Fleet) newRun(reqs []core.Request) (*run, error) {
 		r.rank = newRankTree(rk)
 		r.rank.build(r.vs)
 	}
-	r.wake = newWakeHeap(len(devs))
+	r.sh = newShardSet(r, f.shards())
 	if r.hedging() {
 		r.hedges = make(map[int]*hedgePair)
 	}
@@ -500,9 +508,9 @@ func (r *run) popArrival() pendingReq {
 // settlePrefix resolves a result's deferred prefix accounting: counts
 // the hit/miss when the device served the request, refunds the
 // optimistic directory mark when admission shed it before prefill. It
-// touches only the device's own maps and the caller's accumulator, so
-// shard workers settle their devices' results without coordination.
-func (d *device) settlePrefix(sv core.ServedResult, acc *metrics.FleetAccum) {
+// touches only the device's own maps and the caller's counters, so shard
+// workers settle their devices' results without coordination.
+func (d *device) settlePrefix(sv core.ServedResult, c *prefixCount) {
 	a, ok := d.acct[sv.Tag]
 	if !ok {
 		return
@@ -510,9 +518,9 @@ func (d *device) settlePrefix(sv core.ServedResult, acc *metrics.FleetAccum) {
 	delete(d.acct, sv.Tag)
 	switch {
 	case !sv.Rejected && a.hit:
-		acc.PrefixHits += a.tokens
+		c.hits += a.tokens
 	case !sv.Rejected:
-		acc.PrefixMisses += a.tokens
+		c.misses += a.tokens
 		if d.marker[a.key] == sv.Tag {
 			delete(d.marker, a.key) // residency confirmed
 		}
@@ -522,11 +530,33 @@ func (d *device) settlePrefix(sv core.ServedResult, acc *metrics.FleetAccum) {
 	}
 }
 
+// checkDrained completes a drain once all accepted work is served: the
+// device then leaves the fleet.
+func (d *device) checkDrained() {
+	if d.draining && !d.drained && d.loop.Idle() {
+		d.drained = true
+		d.drainEnd = math.Max(d.drainAt, d.loop.Now())
+	}
+}
+
+// push marks the device's prefix directory optimistically (concurrent
+// repeats of this prompt should route as hits), defers the hit/miss
+// counters until the device actually serves the request, and hands the
+// request to the device's loop.
+func (d *device) push(rq core.Request, key string) {
+	resident := d.prefixes[key]
+	if !resident {
+		d.prefixes[key] = true
+		d.marker[key] = rq.Tag
+	}
+	d.acct[rq.Tag] = prefixAcct{key: key, tokens: int64(rq.Problem.PromptTokens), hit: resident}
+	d.loop.Push(rq)
+}
+
 // buildResult turns one device completion into a fleet Result. A
 // requeued request keeps its original submission time in the
 // client-facing telemetry: the wait on its failed device still
-// happened. Safe on shard workers: requeue maps are read-only between
-// structural events.
+// happened.
 func (r *run) buildResult(sv core.ServedResult, dev int) Result {
 	if rq := r.requeues[sv.Tag]; rq > 0 {
 		sv.Arrival = r.origArrival[sv.Tag]
@@ -596,83 +626,14 @@ func (r *run) rebuildRank() {
 	}
 }
 
-// updateWake, wakeRemove, wakeGrow, and wakeLen address whichever wake
-// index drives this run: the sequential engine's single heap or the
-// sharded engine's per-shard heaps.
-func (r *run) updateWake(dev int) {
-	if r.sh != nil {
-		r.sh.updateWakeLocal(r, r.sh.shardOf(dev), dev)
-		return
-	}
-	if at, ok := r.devs[dev].loop.Wake(); ok {
-		r.wake.update(dev, at)
-	} else {
-		r.wake.remove(dev)
-	}
-}
-
-func (r *run) wakeRemove(dev int) {
-	if r.sh != nil {
-		r.sh.wakeRemove(dev)
-		return
-	}
-	r.wake.remove(dev)
-}
-
-func (r *run) wakeGrow(n int) {
-	if r.sh != nil {
-		r.sh.wakeGrow(n)
-		return
-	}
-	r.wake.grow(n)
-}
-
-func (r *run) wakeLen() int {
-	if r.sh != nil {
-		return r.sh.wakeLen()
-	}
-	return r.wake.Len()
-}
-
-// collect steps the devices whose wake time falls within the horizon, in
-// device-index order, gathering completions. Untouched devices are
-// provably no-ops: their loops would neither run a slice, admit, nor
-// jump the clock, so their state and views are already current. A
-// requeued request keeps its original submission time in the
-// client-facing telemetry: the wait on its failed device still happened.
-func (r *run) collect(horizon float64) error {
-	r.dueBuf = r.wake.popDue(horizon, r.dueBuf[:0])
-	for _, i := range r.dueBuf {
-		d := r.devs[i]
-		served, err := d.loop.StepTo(horizon)
-		if err != nil {
-			return fmt.Errorf("cluster: device %d: %w", i, err)
-		}
-		for _, sv := range served {
-			r.deliver(i, sv)
-		}
-		if d.draining && !d.drained && d.loop.Idle() {
-			// All accepted work served: the drain completes and the device
-			// leaves the fleet.
-			d.drained = true
-			d.drainEnd = math.Max(d.drainAt, d.loop.Now())
-		}
-		r.updateWake(i)
-		r.refreshView(i)
-	}
-	return nil
-}
-
-// deliver settles and publishes one device completion. Under a hedged
-// strategy the result first passes the hedge filter: the first copy to
-// complete wins the request (scheduling a cancellation for its twin),
-// later copies are swallowed. Losers still settle their deferred prefix
-// accounting — the device work was real — but never count as served.
-// Both engines call deliver in the canonical completion-merge order, so
-// hedge resolution is bit-identical across engines and shard counts.
+// deliver publishes one device completion; its shard worker already
+// settled its prefix accounting. Under a hedged strategy the result
+// first passes the hedge filter: the first copy to complete wins the
+// request (scheduling a cancellation for its twin), later copies are
+// swallowed — their device work was real, but they never count as
+// served. The merge calls deliver in the canonical completion order, so
+// hedge resolution is bit-identical across shard counts.
 func (r *run) deliver(dev int, sv core.ServedResult) {
-	d := r.devs[dev]
-	d.settlePrefix(sv, &r.acc)
 	if r.hedging() {
 		out, ok := r.filterHedge(sv)
 		if !ok {
@@ -681,10 +642,8 @@ func (r *run) deliver(dev int, sv core.ServedResult) {
 		sv = out
 	}
 	res := r.buildResult(sv, dev)
-	r.out.Results = append(r.out.Results, res)
-	if r.acc.Streaming() {
-		r.acc.AddSample(0, serveSample(res))
-	}
+	r.publish(res)
+	d := r.devs[dev]
 	if !sv.Rejected {
 		d.served++
 		d.tokens += sv.UsefulTokens
@@ -692,11 +651,45 @@ func (r *run) deliver(dev int, sv core.ServedResult) {
 	if r.el != nil {
 		// Observe the settled result (requeue-adjusted arrival and
 		// latencies), not the raw device completion: the control window
-		// must see the client-perceived telemetry, and the sharded
-		// engine already observes the built result — feeding the raw
-		// one here would let the engines' control signals drift apart
-		// on requeued requests.
+		// must see the client-perceived telemetry.
 		r.el.observe(res.ServedResult, d)
+	}
+}
+
+// publish appends one result to the outcome and folds it into the
+// streaming aggregation.
+func (r *run) publish(res Result) {
+	r.out.Results = append(r.out.Results, res)
+	if r.serve != nil {
+		r.serve.Observe(serveSample(res))
+	}
+}
+
+// shed builds the rejection of a request that found no routable device
+// (all failed or drained): it is shed at its arrival instant, reported
+// against its original submission time. Any stale acct entry of a
+// requeued request is stranded on its failed device and never settles.
+func (r *run) shed(pr pendingReq) Result {
+	at := pr.req.Arrival
+	if r.ctl != nil {
+		r.ctl.Emit(obs.Span{Kind: obs.KindShed, Tag: pr.req.Tag, Start: at, End: at, N: pr.requeues})
+	}
+	return Result{
+		ServedResult: core.ServedResult{
+			Arrival: r.origArrival[pr.req.Tag], Start: at, Finish: at,
+			Rejected: true, Tag: pr.req.Tag,
+		},
+		Device:   -1,
+		Requeues: pr.requeues,
+	}
+}
+
+// publishShed publishes a shed rejection; the controller counts it as
+// lost capacity.
+func (r *run) publishShed(res Result) {
+	r.publish(res)
+	if r.el != nil {
+		r.el.win.Rejected++
 	}
 }
 
@@ -789,11 +782,8 @@ func (r *run) applyCancel(ce cancelEvent) {
 			}
 		}
 	}
-	if d.draining && !d.drained && d.loop.Idle() {
-		d.drained = true
-		d.drainEnd = math.Max(d.drainAt, d.loop.Now())
-	}
-	r.updateWake(ce.dev)
+	d.checkDrained()
+	r.sh.setWake(ce.dev, d.loop)
 	r.refreshView(ce.dev)
 }
 
@@ -805,7 +795,7 @@ func (r *run) failDevice(ft float64, fi int) {
 	d := r.devs[fi]
 	d.alive = false
 	d.failedAt = ft
-	r.wakeRemove(fi)
+	r.sh.wakeRemove(fi)
 	r.dropView(fi)
 	requeued := 0
 	for _, rq := range d.loop.Fail() {
@@ -853,51 +843,22 @@ func (r *run) dropHedgedCopy(orig, slot int) bool {
 
 // routeArrival routes one pending request at its arrival instant.
 func (r *run) routeArrival(pr pendingReq) error {
-	at := pr.req.Arrival
 	if len(r.vs) == 0 {
-		// Lost capacity: no routable device (all failed or drained). Shed
-		// the request at this instant, reported against its original
-		// submission time. (Any stale acct entry for a requeued request
-		// is stranded on its failed device and never settles.)
-		res := Result{
-			ServedResult: core.ServedResult{
-				Arrival: r.origArrival[pr.req.Tag], Start: at, Finish: at,
-				Rejected: true, Tag: pr.req.Tag,
-			},
-			Device:   -1,
-			Requeues: pr.requeues,
-		}
-		r.out.Results = append(r.out.Results, res)
-		if r.acc.Streaming() {
-			r.acc.AddSample(0, serveSample(res))
-		}
-		if r.el != nil {
-			r.el.win.Rejected++
-		}
-		if r.ctl != nil {
-			r.ctl.Emit(obs.Span{Kind: obs.KindShed, Tag: pr.req.Tag, Start: at, End: at, N: pr.requeues})
-		}
+		r.publishShed(r.shed(pr))
 		return nil
 	}
-	rv := RequestView{
-		Tag:          pr.req.Tag,
-		Arrival:      at,
-		PrefixKey:    r.prefixKey(pr.req.Problem),
-		PromptTokens: pr.req.Problem.PromptTokens,
-		Requeued:     pr.requeues > 0,
-	}
-	var pick int
+	rv := r.requestView(pr)
+	pick := 0
 	if r.rank != nil {
 		pick = r.rank.min()
 	} else {
-		pick = r.f.cfg.Router.Route(rv, r.vs, r.routeRand)
-		if pick < 0 || pick >= len(r.vs) {
-			return fmt.Errorf("cluster: router %s picked %d of %d alive devices",
-				r.f.cfg.Router.Name(), pick, len(r.vs))
+		var err error
+		if pick, err = r.pick(rv, r.vs); err != nil {
+			return err
 		}
 	}
 	di := r.vs[pick].Index
-	r.emitRoute(rv.Tag, at, di)
+	r.emitRoute(rv.Tag, rv.Arrival, di, r.vs)
 	r.applyStrategy(&pr.req, di)
 	r.pushTo(di, pr.req, rv.PrefixKey)
 	if r.hedging() && pr.requeues == 0 && len(r.vs) >= 2 {
@@ -906,23 +867,43 @@ func (r *run) routeArrival(pr pendingReq) error {
 	return nil
 }
 
-// emitRoute records one routing decision on the control track: the
-// scored candidates (view-reading routers only, whose arrivals are
-// event barriers in both engines — see run.candSpans), then the pick.
-// Shared by the sequential route path and the sharded span pre-route so
-// both engines emit the identical control-track sequence.
-func (r *run) emitRoute(tag int, at float64, di int) {
+// requestView is the router's view of one pending request.
+func (r *run) requestView(pr pendingReq) RequestView {
+	return RequestView{
+		Tag:          pr.req.Tag,
+		Arrival:      pr.req.Arrival,
+		PrefixKey:    r.prefixKey(pr.req.Problem),
+		PromptTokens: pr.req.Problem.PromptTokens,
+		Requeued:     pr.requeues > 0,
+	}
+}
+
+// pick asks the router for a position in vs and rejects out-of-range
+// answers.
+func (r *run) pick(rv RequestView, vs []DeviceView) (int, error) {
+	p := r.f.cfg.Router.Route(rv, vs, r.routeRand)
+	if p < 0 || p >= len(vs) {
+		return 0, fmt.Errorf("cluster: router %s picked %d of %d alive devices",
+			r.f.cfg.Router.Name(), p, len(vs))
+	}
+	return p, nil
+}
+
+// emitRoute records one routing decision over the candidates vs on the
+// control track: the scored candidates (view-reading routers only, whose
+// arrivals are event barriers — see run.candSpans), then the pick.
+func (r *run) emitRoute(tag int, at float64, di int, vs []DeviceView) {
 	if r.ctl == nil {
 		return
 	}
 	if r.candSpans {
-		for _, v := range r.vs {
+		for _, v := range vs {
 			r.ctl.Emit(obs.Span{Kind: obs.KindRouteCand, Tag: tag, Start: at, End: at,
 				N: v.Index, V1: v.OutstandingWork, V2: float64(v.Pending)})
 		}
 	}
 	r.ctl.Emit(obs.Span{Kind: obs.KindRoute, Tag: tag, Start: at, End: at,
-		V1: float64(di), N: len(r.vs)})
+		V1: float64(di), N: len(vs)})
 }
 
 // applyStrategy stamps the request's effective strategy at routing: the
@@ -932,8 +913,6 @@ func (r *run) emitRoute(tag int, at float64, di int) {
 // width and the strategy at its current tier. The deadline strategy
 // derives the request's deadline from the fleet SLO, measured from the
 // original submission so a requeued request's deadline does not reset.
-// Shared verbatim by the sequential route path and the sharded span
-// pre-route so both engines stamp identical requests.
 func (r *run) applyStrategy(rq *core.Request, di int) {
 	if st := r.f.cfg.Strategy; st != nil {
 		rq.Strategy = st
@@ -946,23 +925,12 @@ func (r *run) applyStrategy(rq *core.Request, di int) {
 	}
 }
 
-// pushTo marks the device's prefix directory optimistically (concurrent
-// repeats of this prompt should route as hits), defers the hit/miss
-// counters until the device actually serves the request, and hands the
-// request to the device's loop.
+// pushTo hands a routed request to its device and refreshes the device's
+// wake entry and router view.
 func (r *run) pushTo(di int, rq core.Request, key string) {
 	d := r.devs[di]
-	resident := d.prefixes[key]
-	if !resident {
-		d.prefixes[key] = true
-		d.marker[key] = rq.Tag
-	}
-	d.acct[rq.Tag] = prefixAcct{
-		key:    key,
-		tokens: int64(rq.Problem.PromptTokens), hit: resident,
-	}
-	d.loop.Push(rq)
-	r.updateWake(di)
+	d.push(rq, key)
+	r.sh.setWake(di, d.loop)
 	r.refreshView(di)
 }
 
@@ -972,31 +940,22 @@ func (r *run) pushTo(di int, rq core.Request, key string) {
 // primary's budgeted width, strategy, and deadline, so the two copies
 // run the identical solve and only placement differs.
 func (r *run) routeTwin(rq core.Request, rv RequestView, primaryPick int) error {
-	twinVs := make([]DeviceView, 0, len(r.vs)-1)
-	twinVs = append(twinVs, r.vs[:primaryPick]...)
-	twinVs = append(twinVs, r.vs[primaryPick+1:]...)
+	twinVs := append(append(r.twinVs[:0], r.vs[:primaryPick]...), r.vs[primaryPick+1:]...)
+	r.twinVs = twinVs
 	orig := rq.Tag
 	rq.Tag = ^orig
 	rv.Tag = rq.Tag
-	pick := r.f.cfg.Router.Route(rv, twinVs, r.routeRand)
-	if pick < 0 || pick >= len(twinVs) {
-		return fmt.Errorf("cluster: router %s picked %d of %d alive devices",
-			r.f.cfg.Router.Name(), pick, len(twinVs))
+	pick, err := r.pick(rv, twinVs)
+	if err != nil {
+		return err
 	}
-	ti := twinVs[pick].Index
+	pi, ti := r.vs[primaryPick].Index, twinVs[pick].Index
+	r.emitRoute(rq.Tag, rv.Arrival, ti, twinVs)
 	if r.ctl != nil {
-		if r.candSpans {
-			for _, v := range twinVs {
-				r.ctl.Emit(obs.Span{Kind: obs.KindRouteCand, Tag: rq.Tag, Start: rv.Arrival, End: rv.Arrival,
-					N: v.Index, V1: v.OutstandingWork, V2: float64(v.Pending)})
-			}
-		}
-		r.ctl.Emit(obs.Span{Kind: obs.KindRoute, Tag: rq.Tag, Start: rv.Arrival, End: rv.Arrival,
-			V1: float64(ti), N: len(twinVs)})
 		r.ctl.Emit(obs.Span{Kind: obs.KindHedge, Tag: orig, Start: rv.Arrival, End: rv.Arrival,
-			V1: float64(r.vs[primaryPick].Index), V2: float64(ti)})
+			V1: float64(pi), V2: float64(ti)})
 	}
-	r.hedges[orig] = &hedgePair{dev: [2]int{r.vs[primaryPick].Index, ti}}
+	r.hedges[orig] = &hedgePair{dev: [2]int{pi, ti}}
 	r.pushTo(ti, rq, rv.PrefixKey)
 	return nil
 }
@@ -1008,23 +967,21 @@ func (r *run) routeTwin(rq core.Request, rv RequestView, primaryPick int) error 
 // prefix accounting.
 //
 // Run is the fleet's event loop. Global events — request arrivals,
-// device fail-stops, warm-pool joins, and control ticks — are dispatched
-// from heaps: a stable min-heap of pending arrivals, a pre-sorted
-// fail-stop schedule, and an indexed min-heap of per-device wake times
-// (the earliest horizon at which each device's loop would make
-// progress). At each event only the devices whose wake time falls inside
-// the event window are stepped, and the router's device views are
-// refreshed incrementally for exactly the devices an event touched —
-// O(events·log devices) overall instead of the O(events·devices) full
-// re-scan per event. Under a Ranked router (least-work, jsq) each refresh
-// also replays the view's path in a tournament tree whose root is the
-// pick, so routing is O(log devices) per request too; other routers scan
-// the views in Route.
-//
-// With Config.Shards >= 2, Run dispatches to the sharded engine
-// (shard.go), which produces bit-identical outcomes while advancing
-// device shards on parallel workers between cross-shard events. Both
-// engines route Ranked routers through the same tree.
+// device fail-stops, warm-pool joins, hedge cancellations, and control
+// ticks — are dispatched from heaps: a stable min-heap of pending
+// arrivals, a pre-sorted fail-stop schedule, and per-shard indexed
+// min-heaps of device wake times (the earliest horizon at which each
+// device's loop would make progress). Before each event only the devices
+// whose wake time falls inside the event window are stepped, and the
+// router's device views are refreshed incrementally for exactly the
+// devices an event touched — O(events·log devices) overall instead of
+// an O(events·devices) re-scan per event. Under a Ranked router
+// (least-work, jsq) each refresh also replays the view's path in a
+// tournament tree whose root is the pick, so routing is O(log devices)
+// per request too; other routers scan the views in Route. Under a
+// view-oblivious router (single, rr) every arrival before the next
+// structural event is pre-routed as one span and replayed without
+// barriers (shard.go).
 func (f *Fleet) Run(reqs []core.Request) (*Outcome, error) {
 	if f.used {
 		return nil, fmt.Errorf("cluster: Fleet is single-run; build a new Fleet per stream")
@@ -1034,14 +991,7 @@ func (f *Fleet) Run(reqs []core.Request) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ns := f.shards(); ns > 1 {
-		// Swap the wake index before any device has an entry: the sharded
-		// engine owns per-shard heaps instead of the single heap.
-		r.wake = nil
-		r.sh = newShardSet(r, ns)
-		return f.runSharded(r)
-	}
-
+	ss := r.sh
 	for {
 		head, haveArrival := r.nextArrival()
 		bestAt, bestKind := 0.0, -1
@@ -1056,11 +1006,20 @@ func (f *Fleet) Run(reqs []core.Request) (*Outcome, error) {
 		}
 		consider(r.failAt(), evFail, r.fp < len(r.fails))
 		consider(r.cancelAt(), evCancel, r.cp < len(r.cancels))
+		// Arrivals strictly before the next structural event couple shards
+		// only through the router; when the router is view-oblivious the
+		// whole span is safe to pre-route and replay in parallel.
+		if ss.oblivious && haveArrival && (bestKind < 0 || head.req.Arrival < bestAt) {
+			if err := ss.runSpan(r, bestAt, bestKind >= 0); err != nil {
+				return nil, err
+			}
+			continue
+		}
 		consider(head.req.Arrival, evArrival, haveArrival)
 		if bestKind < 0 {
 			break
 		}
-		if err := r.collect(bestAt); err != nil {
+		if err := ss.collect(r, bestAt); err != nil {
 			return nil, err
 		}
 		switch bestKind {
@@ -1098,17 +1057,14 @@ func (f *Fleet) Run(reqs []core.Request) (*Outcome, error) {
 // run to the end.
 func (r *run) drain() error {
 	if !r.hedging() {
-		if r.sh != nil {
-			return r.sh.collect(r, core.NoHorizon)
-		}
-		return r.collect(core.NoHorizon)
+		return r.sh.collect(r, core.NoHorizon)
 	}
 	for {
 		for r.cp < len(r.cancels) {
 			r.applyCancel(r.cancels[r.cp])
 			r.cp++
 		}
-		at, ok := r.nextWake()
+		at, ok := r.sh.wakeMin()
 		if !ok {
 			return nil
 		}
@@ -1117,33 +1073,19 @@ func (r *run) drain() error {
 		// ulp past the earliest wake so every round advances at least one
 		// atomic slice (the slice in progress finishes past the horizon
 		// by the StepTo contract).
-		horizon := math.Nextafter(at, math.Inf(1))
-		if r.sh != nil {
-			if err := r.sh.collect(r, horizon); err != nil {
-				return err
-			}
-		} else if err := r.collect(horizon); err != nil {
+		if err := r.sh.collect(r, math.Nextafter(at, math.Inf(1))); err != nil {
 			return err
 		}
 	}
 }
 
-// nextWake is the earliest pending device wake across whichever wake
-// index drives this run.
-func (r *run) nextWake() (float64, bool) {
-	if r.sh != nil {
-		return r.sh.wakeMin()
-	}
-	return r.wake.min()
-}
-
 // shards resolves Config.Shards: <0 means one shard per available core,
-// 0 and 1 select the sequential engine.
+// 0 means one shard.
 func (f *Fleet) shards() int {
 	if f.cfg.Shards < 0 {
 		return runtime.GOMAXPROCS(0)
 	}
-	return f.cfg.Shards
+	return max(f.cfg.Shards, 1)
 }
 
 // failAt is the time of the next scheduled fail-stop (meaningful only
@@ -1208,9 +1150,9 @@ func (r *run) finish() {
 			ReprefillSeconds:    ps.ReprefillSeconds,
 		}
 	}
-	r.out.PrefixHits = r.acc.PrefixHits
-	r.out.PrefixMisses = r.acc.PrefixMisses
-	r.out.Serve = r.acc.Serve()
+	r.out.PrefixHits = r.prefix.hits
+	r.out.PrefixMisses = r.prefix.misses
+	r.out.Serve = r.serve
 	if r.el != nil {
 		r.el.finish(r.out)
 	}
@@ -1219,7 +1161,6 @@ func (r *run) finish() {
 		// span stream — after every worker has joined, so the read is
 		// ordered by the barrier protocol.
 		st := obs.Summarize(obs.Attribute(r.obs.Spans()))
-		r.acc.Attr = st
 		r.out.Attribution = &st
 	}
 }

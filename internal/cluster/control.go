@@ -156,7 +156,7 @@ func (el *elastic) nextJoin() (float64, int, bool) {
 // are exhausted the controller has nothing left to influence and the
 // tick stream ends (the run then drains to completion).
 func (el *elastic) nextTickEvent(r *run, haveArrival bool) (float64, int, bool) {
-	if !haveArrival && r.wakeLen() == 0 && el.jp >= len(el.joins) {
+	if !haveArrival && r.sh.wakeLen() == 0 && el.jp >= len(el.joins) {
 		return 0, evTick, false
 	}
 	return el.nextTick, evTick, true
@@ -289,7 +289,7 @@ func (el *elastic) scaleUp(r *run, now float64, n int) ActionRecord {
 		idx := len(r.devs)
 		r.devs = append(r.devs, dev)
 		r.posInVs = append(r.posInVs, -1)
-		r.wakeGrow(1)
+		r.sh.grow(1)
 		if r.obs != nil {
 			dev.loop.SetObs(r.obs.Device(idx))
 		}
@@ -350,10 +350,7 @@ func (el *elastic) scaleDown(r *run, now float64, n int) ActionRecord {
 		if d.dynamic {
 			el.warmFree++
 		}
-		if d.loop.Idle() {
-			d.drained = true
-			d.drainEnd = now
-		}
+		d.checkDrained()
 		rec.Devices = append(rec.Devices, victim)
 		rec.Applied++
 		el.stats.ScaleDowns++

@@ -9,8 +9,8 @@ package cluster
 
 import "sort"
 
-// Event kinds at one instant resolve in a fixed priority — the shared
-// ordering contract of both execution engines:
+// Event kinds at one instant resolve in a fixed priority — the fleet
+// event loop's ordering contract:
 //
 //	join < fail < cancel < tick < arrival
 //
@@ -31,7 +31,7 @@ const (
 // cancelEvent is one scheduled fleet-level cancellation: at the instant
 // a hedged request's first copy completed, the losing copy (tag) on dev
 // is released. Cancels are consumed in insertion order — the canonical
-// completion-merge order shared by both engines — so equal seeds give
+// completion-merge order at every shard count — so equal seeds give
 // bit-identical cancellation sequences.
 type cancelEvent struct {
 	at  float64
@@ -101,8 +101,8 @@ type wakeItem struct {
 	at  float64
 }
 
-func newWakeHeap(n int) *wakeHeap {
-	w := &wakeHeap{pos: make([]int, n)}
+func newWakeHeap(n int) wakeHeap {
+	w := wakeHeap{pos: make([]int, n)}
 	for i := range w.pos {
 		w.pos[i] = -1
 	}

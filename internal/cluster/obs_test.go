@@ -1,8 +1,8 @@
 package cluster
 
-// Trace determinism: the span flight recorder extends the engines'
-// bit-identity contract to observability. The sequential and sharded
-// engines must produce byte-for-byte identical merged span streams —
+// Trace determinism: the span flight recorder extends the engine's
+// bit-identity contract to observability. Every shard count must
+// produce the single-shard run's merged span stream byte for byte —
 // reflect.DeepEqual over []obs.Span, every float exact — for every
 // router, strategy, fault schedule, and shard count, and attaching a
 // recorder must not perturb the outcome it observes.
@@ -42,18 +42,18 @@ func runTraced(t testing.TB, mk func() Config, reqs []core.Request, shards int) 
 }
 
 // diffSpans reports the first span divergence in a reviewable form.
-func diffSpans(t *testing.T, label string, seq, sh []obs.Span) {
+func diffSpans(t *testing.T, label string, ref, got []obs.Span) {
 	t.Helper()
-	if reflect.DeepEqual(seq, sh) {
+	if reflect.DeepEqual(ref, got) {
 		return
 	}
-	if len(seq) != len(sh) {
-		t.Errorf("%s: %d sequential spans vs %d sharded", label, len(seq), len(sh))
+	if len(ref) != len(got) {
+		t.Errorf("%s: %d reference spans vs %d", label, len(ref), len(got))
 		return
 	}
-	for i := range seq {
-		if seq[i] != sh[i] {
-			t.Errorf("%s: span %d diverges:\n  seq: %+v\n  shd: %+v", label, i, seq[i], sh[i])
+	for i := range ref {
+		if ref[i] != got[i] {
+			t.Errorf("%s: span %d diverges:\n  ref: %+v\n  got: %+v", label, i, ref[i], got[i])
 			return
 		}
 	}
@@ -81,10 +81,9 @@ func checkTrace(t *testing.T, label string, out *Outcome, spans []obs.Span) {
 }
 
 // TestTraceEngineEquivalence is the headline trace-determinism test:
-// for every router, at shard counts below, at, and above the device
-// count, over a fleet with a straggler and a mid-run fail-stop, the two
-// engines produce bit-identical span streams — and identical outcomes
-// to an untraced run.
+// for every router, over a fleet with a straggler and a mid-run
+// fail-stop, every shard count produces the single-shard span stream
+// bit for bit — and the same outcome as an untraced run.
 func TestTraceEngineEquivalence(t *testing.T) {
 	reqs := taggedStream(t, repeatedProblems(t, 40, 5), 2.0, 11)
 	for _, router := range RouterNames() {
@@ -103,29 +102,29 @@ func TestTraceEngineEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seqOut, seqSpans := runTraced(t, mk, reqs, 0)
-		checkTrace(t, router+"/seq", seqOut, seqSpans)
+		refOut, refSpans := runTraced(t, mk, reqs, 1)
+		checkTrace(t, router+"/shards=1", refOut, refSpans)
 
 		// Tracing must not perturb what it observes: the traced outcome
 		// differs from the untraced one only by the attribution report.
-		redacted := *seqOut
+		redacted := *refOut
 		redacted.Attribution = nil
 		if !reflect.DeepEqual(&redacted, untraced) {
 			t.Errorf("%s: attaching a recorder perturbed the outcome", router)
 		}
 
-		for _, shards := range []int{2, 3, 8} {
+		for _, shards := range equivShards {
 			label := router + "/shards=" + strconv.Itoa(shards)
-			shOut, shSpans := runTraced(t, mk, reqs, shards)
-			diffOutcomes(t, label, seqOut, shOut)
-			diffSpans(t, label, seqSpans, shSpans)
+			out, spans := runTraced(t, mk, reqs, shards)
+			diffOutcomes(t, label, refOut, out)
+			diffSpans(t, label, refSpans, spans)
 		}
 	}
 }
 
 // TestTraceHedgedEngineEquivalence adds cross-device hedging: twin
 // placements, loser cancellations, and hedge-waste attribution must
-// trace identically on both engines.
+// trace identically at every shard count.
 func TestTraceHedgedEngineEquivalence(t *testing.T) {
 	reqs := taggedStream(t, repeatedProblems(t, 40, 5), 3.0, 17)
 	for _, router := range RouterNames() {
@@ -136,10 +135,10 @@ func TestTraceHedgedEngineEquivalence(t *testing.T) {
 			}
 			return Config{Devices: equivFleet(t), Router: rt, Seed: 3, Strategy: search.Hedged{}}
 		}
-		seqOut, seqSpans := runTraced(t, mk, reqs, 0)
-		checkTrace(t, router+"/hedged/seq", seqOut, seqSpans)
+		refOut, refSpans := runTraced(t, mk, reqs, 1)
+		checkTrace(t, router+"/hedged/shards=1", refOut, refSpans)
 		hedges := 0
-		for _, s := range seqSpans {
+		for _, s := range refSpans {
 			if s.Kind == obs.KindHedge {
 				hedges++
 			}
@@ -147,11 +146,11 @@ func TestTraceHedgedEngineEquivalence(t *testing.T) {
 		if hedges == 0 {
 			t.Errorf("%s: hedged run traced no hedge placements", router)
 		}
-		for _, shards := range []int{2, 4} {
+		for _, shards := range equivShards {
 			label := router + "/hedged/shards=" + strconv.Itoa(shards)
-			shOut, shSpans := runTraced(t, mk, reqs, shards)
-			diffOutcomes(t, label, seqOut, shOut)
-			diffSpans(t, label, seqSpans, shSpans)
+			out, spans := runTraced(t, mk, reqs, shards)
+			diffOutcomes(t, label, refOut, out)
+			diffSpans(t, label, refSpans, spans)
 		}
 	}
 }
@@ -186,10 +185,10 @@ func TestTraceElasticEngineEquivalence(t *testing.T) {
 				}}
 			}
 			label := router + "/" + ctlName
-			seqOut, seqSpans := runTraced(t, mk, reqs, 0)
-			checkTrace(t, label, seqOut, seqSpans)
+			refOut, refSpans := runTraced(t, mk, reqs, 1)
+			checkTrace(t, label, refOut, refSpans)
 			ticks := 0
-			for _, s := range seqSpans {
+			for _, s := range refSpans {
 				if s.Kind == obs.KindTick {
 					ticks++
 				}
@@ -197,9 +196,11 @@ func TestTraceElasticEngineEquivalence(t *testing.T) {
 			if ticks == 0 {
 				t.Errorf("%s: elastic run traced no control ticks", label)
 			}
-			shOut, shSpans := runTraced(t, mk, reqs, 4)
-			diffOutcomes(t, label, seqOut, shOut)
-			diffSpans(t, label, seqSpans, shSpans)
+			for _, shards := range equivShards {
+				out, spans := runTraced(t, mk, reqs, shards)
+				diffOutcomes(t, label+"/shards="+strconv.Itoa(shards), refOut, out)
+				diffSpans(t, label+"/shards="+strconv.Itoa(shards), refSpans, spans)
+			}
 		}
 	}
 }
@@ -215,14 +216,14 @@ type traceCase struct {
 
 func (traceCase) Generate(r *rand.Rand, size int) reflect.Value {
 	hc := hedgedCase{}.Generate(r, size).Interface().(hedgedCase)
-	return reflect.ValueOf(traceCase{Hedged: hc, Hedge: r.Intn(2) == 0, Shards: 1 + r.Intn(6)})
+	return reflect.ValueOf(traceCase{Hedged: hc, Hedge: r.Intn(2) == 0, Shards: 2 + r.Intn(5)})
 }
 
 // TestTraceLifecycleProperty is the randomized conservation law for the
 // flight recorder: across random router × strategy × fail-stop
 // schedules, every span opened is closed exactly once, device slice
 // intervals never overlap, attribution components sum to wall latency,
-// and the sequential and sharded engines emit bit-identical streams.
+// and every shard count emits the single-shard stream bit for bit.
 func TestTraceLifecycleProperty(t *testing.T) {
 	gpus := []hw.GPU{hw.RTX4090, hw.RTX4070Ti, hw.RTX3070Ti}
 	ds := workload.NewDataset(workload.MATH500, rng.New(7))
@@ -254,23 +255,23 @@ func TestTraceLifecycleProperty(t *testing.T) {
 			}
 			return cfg
 		}
-		seqOut, seqSpans := runTraced(t, mk, reqs, 0)
-		if err := obs.Verify(seqSpans); err != nil {
+		refOut, refSpans := runTraced(t, mk, reqs, 1)
+		if err := obs.Verify(refSpans); err != nil {
 			t.Logf("case %+v: %v", tc, err)
 			return false
 		}
-		if err := obs.CheckSums(obs.Attribute(seqSpans)); err != nil {
+		if err := obs.CheckSums(obs.Attribute(refSpans)); err != nil {
 			t.Logf("case %+v: %v", tc, err)
 			return false
 		}
-		shOut, shSpans := runTraced(t, mk, reqs, tc.Shards)
-		if !reflect.DeepEqual(seqOut, shOut) {
-			t.Logf("case %+v: outcomes diverge across engines", tc)
+		out, spans := runTraced(t, mk, reqs, tc.Shards)
+		if !reflect.DeepEqual(refOut, out) {
+			t.Logf("case %+v: outcomes diverge across shard counts", tc)
 			return false
 		}
-		if !reflect.DeepEqual(seqSpans, shSpans) {
-			t.Logf("case %+v: %d seq spans vs %d sharded, or payload divergence",
-				tc, len(seqSpans), len(shSpans))
+		if !reflect.DeepEqual(refSpans, spans) {
+			t.Logf("case %+v: %d single-shard spans vs %d, or payload divergence",
+				tc, len(refSpans), len(spans))
 			return false
 		}
 		return true

@@ -1,7 +1,7 @@
 package cluster
 
-// Tag-uniqueness validation and fleet-scale micro-benchmarks for the
-// event-heap core.
+// Tag-uniqueness validation, the engine's allocation pin, and
+// fleet-scale micro-benchmarks for the event-heap core.
 
 import (
 	"strings"
@@ -9,6 +9,7 @@ import (
 
 	"fasttts/internal/core"
 	"fasttts/internal/hw"
+	"fasttts/internal/metrics"
 	"fasttts/internal/model"
 	"fasttts/internal/rng"
 	"fasttts/internal/sched"
@@ -72,11 +73,11 @@ var benchSpec = workload.DatasetSpec{
 	AnswerSpace: 10, QualityDriftScale: 1.0,
 }
 
-func benchFleet(b *testing.B, n int) ([]Device, []core.Request) {
-	b.Helper()
+func benchFleet(tb testing.TB, n, requests int) ([]Device, []core.Request) {
+	tb.Helper()
 	pol, err := search.New(search.SingleCoT, 1, 1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	devs := make([]Device, n)
 	for i := range devs {
@@ -94,7 +95,6 @@ func benchFleet(b *testing.B, n int) ([]Device, []core.Request) {
 	}
 	root := rng.New(42)
 	ds := workload.NewDataset(benchSpec, root)
-	const requests = 2000
 	times := workload.PoissonArrivals(requests, 30*float64(n), root.Child("bench/arrivals"))
 	reqs := make([]core.Request, requests)
 	for i := range reqs {
@@ -104,7 +104,7 @@ func benchFleet(b *testing.B, n int) ([]Device, []core.Request) {
 }
 
 func benchmarkFleetRun(b *testing.B, devices int, router string) {
-	devs, reqs := benchFleet(b, devices)
+	devs, reqs := benchFleet(b, devices, 2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r, err := RouterByName(router)
@@ -125,3 +125,37 @@ func BenchmarkFleetRun64LeastWork(b *testing.B)  { benchmarkFleetRun(b, 64, "lea
 func BenchmarkFleetRun64RoundRobin(b *testing.B) { benchmarkFleetRun(b, 64, "rr") }
 func BenchmarkFleetRun256LeastWork(b *testing.B) { benchmarkFleetRun(b, 256, "least-work") }
 func BenchmarkFleetRun256P2C(b *testing.B)       { benchmarkFleetRun(b, 256, "p2c") }
+
+// fleetRunAllocs caps New plus Run's allocations on TestFleetRunAllocs's
+// fleet. It is the count measured (Go 1.24, linux/amd64) when the fleet
+// still ran one shard through a separate per-arrival loop, which
+// allocated nothing per pass. The race detector allocates on its own,
+// so the pin holds only without it.
+const fleetRunAllocs = 30974
+
+// TestFleetRunAllocs pins the event loop's allocations on a fixed small
+// fleet: 64 devices, 500 requests, least-work routing, streaming
+// metrics. Per-pass allocations in the shard passes — a worker closure
+// escaping to the heap, a result slice per device group, per-pass
+// sketch merges — cost about one allocation per request each and fail
+// this test.
+func TestFleetRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	devs, reqs := benchFleet(t, 64, 500)
+	allocs := testing.AllocsPerRun(5, func() {
+		f, err := New(Config{Devices: devs, Router: LeastWork{}, Seed: 42,
+			Metrics: metrics.ModeStreaming, SLOLatency: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Run(reqs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > fleetRunAllocs {
+		t.Errorf("New+Run allocates %.0f times, want <= %d (%.1f extra per request)",
+			allocs, fleetRunAllocs, (allocs-fleetRunAllocs)/float64(len(reqs)))
+	}
+}

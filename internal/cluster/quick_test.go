@@ -366,6 +366,21 @@ func TestDynamicMembershipPreservesRequestMultiset(t *testing.T) {
 		}
 		return true
 	}
+	// Pinned case (quick.seed=54336): a scale-down picks a device that is
+	// already idle but whose last slice ran past the tick; its drain must
+	// end at its clock, not at the tick, or busy time exceeds lifetime.
+	if !prop(elasticCase{
+		Fleet: fleetCase{
+			GPUs: []int{0, 2}, Slowdowns: []float64{2.0263380291859856, 1}, FailAts: []float64{0, 0},
+			Probs: []int{0, 3, 0, 2, 1, 4, 2, 5},
+			Arrivals: []float64{0.5707904483873341, 6.338210189061403, 9.950631084699847, 15.886045077029797,
+				17.196901681337565, 22.282532249413585, 25.591885518849992, 26.327852684401037},
+			Router: 6,
+		},
+		Controller: 2, Interval: 8.930430345558369, WarmCount: 0, Warmup: 1.9122094004569612, MaxTier: 2,
+	}) {
+		t.Error("pinned idle-drain case fails")
+	}
 	if err := quick.Check(prop, qc(t, 40)); err != nil {
 		t.Error(err)
 	}

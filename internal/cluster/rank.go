@@ -9,7 +9,7 @@ package cluster
 // positions, rebuild it in O(n).
 //
 // Nodes hold positions and compare live view values, so after several
-// views change at once (a sharded collect pass) replaying each changed
+// views change at once (a collect pass) replaying each changed
 // leaf's full path, in any order, restores every node: a node's last
 // replay runs after all of its subtree's.
 type rankTree struct {

@@ -4,7 +4,7 @@ package cluster
 // the argmin scan it replaces — after every view refresh, fail-stop or
 // drain, and warm-pool join, ties included — and fleets routed through
 // the tree must serve byte-identical outcomes to fleets routed by the
-// scan, on every engine.
+// scan, at every shard count.
 
 import (
 	"math/rand"
@@ -124,8 +124,8 @@ func (s scanOnly) NeedsOutstandingWork() bool {
 // TestRankedFleetDifferential serves the same stream through the tree
 // and through the scan, for least-work and jsq, on a fleet with
 // fail-stops, a straggler, and an elastic controller that joins and
-// drains warm-pool devices, on the sequential engine and at 2 and 3
-// shards. Every outcome must equal the sequential scan run exactly.
+// drains warm-pool devices, at one shard and at every equivalence shard
+// count. Every outcome must equal the single-shard scan run exactly.
 func TestRankedFleetDifferential(t *testing.T) {
 	reqs := taggedStream(t, repeatedProblems(t, 120, 6), 8.0, 17)
 	devices := equivFleet(t)
@@ -158,13 +158,16 @@ func TestRankedFleetDifferential(t *testing.T) {
 				SLOLatency:  20,
 			}}
 		}
-		ref := mustRun(t, mk(true, 0), reqs)
+		ref := mustRun(t, mk(true, 1), reqs)
 		if len(ref.Actions) == 0 || ref.Requeues == 0 {
 			t.Fatalf("%s: scenario exercises no membership change (%d actions, %d requeues)",
 				name, len(ref.Actions), ref.Requeues)
 		}
-		for _, shards := range []int{1, 2, 3} {
+		for _, shards := range append([]int{1}, equivShards...) {
 			for _, scan := range []bool{false, true} {
+				if scan && shards == 1 {
+					continue // the reference itself
+				}
 				label := name + "/shards=" + strconv.Itoa(shards)
 				if scan {
 					label += "/scan"

@@ -67,18 +67,18 @@ type Router interface {
 	Name() string
 	// Route returns the position in devices (non-empty, alive fleet
 	// members sorted by Index) of the device that receives the request.
-	// r is the router's private deterministic random stream.
+	// r is the router's private deterministic random stream. Route must
+	// not retain devices: the fleet reuses the slice after the call.
 	Route(rq RequestView, devices []DeviceView, r *rng.Stream) int
 }
 
 // ViewOblivious marks routers whose decisions never read device *load*
 // — DeviceView.Now, Pending, or OutstandingWork — only the routable
-// set's size and order plus private state. The sharded engine
-// (Config.Shards >= 2) can pre-route whole arrival spans for such
-// routers and replay devices barrier-free; view-reading routers make
-// every arrival a cross-shard synchronization point. A router that
-// reads load but implements this interface returning true breaks the
-// engines' bit-identity contract.
+// set's size and order plus private state. The fleet pre-routes whole
+// arrival spans for such routers and replays devices barrier-free;
+// view-reading routers make every arrival a cross-shard synchronization
+// point. A router that reads load but implements this interface
+// returning true breaks the fleet's bit-identity contract.
 type ViewOblivious interface {
 	RouteViewOblivious() bool
 }

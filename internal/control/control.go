@@ -24,14 +24,14 @@
 //	pid        PID-style tracking of a queue-delay setpoint
 //	budget     vertical-only compute-budget governor
 //
-// Control ticks are cross-shard barrier points of the sharded fleet
-// engine (internal/cluster/shard.go): Observe runs on the driver
-// goroutine against a fully merged fleet state, and the window
-// aggregates feeding Signals are accumulated in the sequential engine's
-// canonical result order even when devices were stepped on parallel
-// workers — a controller therefore sees bit-identical Signals, and
-// produces a bit-identical action log, on either engine. Controllers
-// themselves are never called concurrently.
+// Control ticks are cross-shard barrier points of the fleet engine
+// (internal/cluster/shard.go): Observe runs on the driver goroutine
+// against a fully merged fleet state, and the window aggregates feeding
+// Signals are accumulated in the fleet's canonical result order even
+// when devices were stepped on parallel workers — a controller
+// therefore sees bit-identical Signals, and produces a bit-identical
+// action log, at every shard count. Controllers themselves are never
+// called concurrently.
 package control
 
 import (

@@ -176,14 +176,14 @@ const NoHorizon = -1.0
 // distinct Loops share no mutable state even when built from one Server
 // (the Server is read-only after construction; each Loop owns its clock,
 // queue, sessions, solver, and rng streams), so any number of Loops may
-// be stepped concurrently. The sharded fleet engine relies on exactly
-// this: each shard worker steps only the Loops of the devices it owns.
+// be stepped concurrently. The fleet engine relies on exactly this: each
+// shard worker steps only the Loops of the devices it owns.
 //
 // Determinism contract: StepTo is horizon-sensitive. The horizon is not
 // just a stopping time — it feeds the speculation-preemption probe as a
 // pending boundary, so StepTo(t1) followed by StepTo(t2) may slice work
 // differently than StepTo(t2) alone. Drivers that must reproduce each
-// other bit-for-bit (the sequential and sharded fleet engines) must
+// other bit-for-bit (fleet runs at different shard counts) must
 // therefore present each Loop with the identical sequence of horizons,
 // not just the same final time.
 type Loop struct {
@@ -468,14 +468,15 @@ func (l *Loop) Wake() (float64, bool) {
 
 // StepTo advances the loop until its clock reaches the horizon or it runs
 // out of work, returning the results produced (completions in completion
-// order, rejections at admission time). Horizon NoHorizon (or any
-// negative value) means run to completion. Slices are atomic: the slice
-// in progress when the clock crosses the horizon finishes, so the clock
-// may end slightly past it. The horizon also acts as a pending-arrival
-// bound for §4.1.2 speculation preemption: the fleet simulator steps
-// device loops to the next global event, and a slice about to cross that
-// event boundary stops speculating — exactly as a single device stops
-// speculating as its next arrival lands mid-slice.
+// order, rejections at admission time) in a freshly allocated slice the
+// caller owns. Horizon NoHorizon (or any negative value) means run to
+// completion. Slices are atomic: the slice in progress when the clock
+// crosses the horizon finishes, so the clock may end slightly past it.
+// The horizon also acts as a pending-arrival bound for §4.1.2
+// speculation preemption: the fleet simulator steps device loops to the
+// next global event, and a slice about to cross that event boundary
+// stops speculating — exactly as a single device stops speculating as
+// its next arrival lands mid-slice.
 func (l *Loop) StepTo(horizon float64) ([]ServedResult, error) {
 	var out []ServedResult
 	feed := func(at float64) {

@@ -3,10 +3,8 @@ package metrics
 // AttributionStats is the fleet rollup of the observability layer's
 // per-request latency attribution (obs.Attribute): every finished
 // request's wall latency decomposed into additive components, summed.
-// Every field is a plain sum, so partials fold order-independently
-// through FleetAccum.MergeAll; in practice the attribution pass runs
-// once on the driver over the merged span stream, so sequential and
-// sharded engines produce bit-identical totals.
+// The attribution pass runs once on the fleet driver over the merged
+// span stream, so every shard count produces bit-identical totals.
 type AttributionStats struct {
 	// Requests counts attributed (finished) requests; Hedged counts how
 	// many of them ran with a hedged twin.
@@ -31,21 +29,4 @@ type AttributionStats struct {
 	Slices      int
 	Preemptions int
 	Requeues    int
-}
-
-// Add folds b into a (plain field-wise sums).
-func (a *AttributionStats) Add(b AttributionStats) {
-	a.Requests += b.Requests
-	a.Hedged += b.Hedged
-	a.Wall += b.Wall
-	a.Queue += b.Queue
-	a.Service += b.Service
-	a.Reprefill += b.Reprefill
-	a.Straggler += b.Straggler
-	a.Preemption += b.Preemption
-	a.HedgeWaste += b.HedgeWaste
-	a.LostWork += b.LostWork
-	a.Slices += b.Slices
-	a.Preemptions += b.Preemptions
-	a.Requeues += b.Requeues
 }

@@ -12,9 +12,8 @@
 //     control-plane window. Percentiles carry the documented
 //     SketchRelErr (< 1%) bound; merges are bit-identical in any
 //     order.
-//   - fleet.go / accum.go: fleet-level aggregates (per-device
-//     utilization, imbalance, cache telemetry) and the mergeable
-//     per-shard FleetAccum the sharded engine folds on the driver.
+//   - fleet.go: fleet-level aggregates (per-device utilization,
+//     imbalance, cache telemetry).
 //   - control.go: elastic-control-plane summaries and the SLO-vs-cost
 //     frontier.
 package metrics

@@ -10,9 +10,8 @@ package metrics
 // the boundaries never move and every piece of state is an integer count
 // or an order-independent min/max, Merge is a plain element-wise sum —
 // merging per-shard sketches in ANY order or grouping yields bit-identical
-// quantiles to one sketch that saw every sample. That property is what
-// lets the sharded fleet engine accumulate latency distributions on
-// parallel workers without perturbing results.
+// quantiles to one sketch that saw every sample, so partial sketches
+// built on parallel workers combine without perturbing results.
 //
 // Error contract (see SketchRelErr):
 //
@@ -62,8 +61,8 @@ var (
 // Sketch is a mergeable quantile sketch over non-negative finite
 // samples. The zero value is an empty sketch ready to use; bucket
 // storage is allocated lazily on the first in-range Add. Sketch is not
-// safe for concurrent use — shard workers own private sketches and the
-// driver merges them.
+// safe for concurrent use — parallel producers keep private sketches
+// and merge them.
 type Sketch struct {
 	n    uint64   // total samples
 	low  uint64   // samples ≤ sketchMin (including exact zeros)
@@ -131,7 +130,7 @@ func (s *Sketch) Merge(b *Sketch) {
 }
 
 // Reset empties the sketch in place, keeping allocated bucket storage
-// so reuse (shard workers between passes) stays allocation-free.
+// so reuse stays allocation-free.
 func (s *Sketch) Reset() {
 	s.n, s.low = 0, 0
 	s.min, s.max = 0, 0

@@ -129,7 +129,7 @@ func (a *ServeAccum) Merge(b *ServeAccum) {
 }
 
 // Reset empties the accumulator in place, keeping the SLO target and
-// any allocated sketch buckets (shard workers reset between passes).
+// any allocated sketch buckets.
 func (a *ServeAccum) Reset() {
 	a.served, a.rejected, a.nonFinite, a.attained = 0, 0, 0, 0
 	a.tokens = 0
@@ -197,9 +197,8 @@ func SummarizeServeStreaming(samples []ServeSample, sloLatency float64) ServeSta
 // incrementally — the per-tick counterpart of ServeAccum, shared with
 // the fleet's elastic controller so window signals never re-scan served
 // results. All state is counters plus one float sum accumulated in
-// observation order, so the sequential and sharded engines (which
-// observe completions in the same canonical order) produce bit-identical
-// signals.
+// observation order; the fleet observes completions in one canonical
+// order at every shard count, so the signals are bit-identical.
 type TickWindow struct {
 	// Served / Rejected count completions in the window; Arrivals counts
 	// routed requests.

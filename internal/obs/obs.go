@@ -11,13 +11,12 @@
 // timeline, admissions, completions, withdrawals) plus one control-plane
 // track (routing decisions, requeue hops, hedge placements, control
 // ticks, joins, drains). Tracks are single-writer: a device track is
-// written only by the goroutine stepping that device's loop (a shard
-// worker in the sharded engine, the driver at event barriers), and the
-// control track only by the fleet driver. The merged span stream
-// (Recorder.Spans) is a pure function of per-track content, so the
-// sequential and sharded fleet engines — which produce identical
-// per-track sequences by the engines' bit-identity contract — produce
-// bit-identical traces at every shard count.
+// written only by the goroutine stepping that device's loop (its shard's
+// worker, or the driver at event barriers), and the control track only
+// by the fleet driver. The merged span stream (Recorder.Spans) is a pure
+// function of per-track content, so fleet runs — which produce identical
+// per-track sequences at every shard count by the fleet's bit-identity
+// contract — produce bit-identical traces at every shard count.
 package obs
 
 import (
@@ -70,7 +69,7 @@ const (
 	KindRoute
 	// KindRouteCand is one scored routing candidate, emitted before its
 	// KindRoute for view-reading routers only (view-oblivious routers
-	// never read load, and the sharded engine routes their spans against
+	// never read load, and the fleet routes their arrival spans against
 	// intentionally stale views): N is the candidate's fleet index, V1
 	// its outstanding work, V2 its pending population.
 	KindRouteCand
@@ -79,7 +78,7 @@ const (
 	KindHedge
 	// KindHedgeWin records hedge resolution: the copy whose completion
 	// the fleet delivered first won the request. Delivery follows the
-	// engines' canonical completion-merge order, which within one event
+	// fleet's canonical completion-merge order, which within one event
 	// window is device-index order — not necessarily the earliest finish
 	// instant — so the attribution pass keys its winner selection on
 	// this span. Tag is the winning copy's tag (^orig when the twin
@@ -191,7 +190,7 @@ func (t *Track) Len() int {
 // must be called from the driving goroutine only (they may grow the
 // track set); the *Track pointers they return are stable and may be
 // written by whichever single goroutine owns that track at a time, as
-// the fleet engines' barrier protocol guarantees.
+// the fleet's barrier protocol guarantees.
 type Recorder struct {
 	control *Track
 	devices []*Track
@@ -252,9 +251,9 @@ func (r *Recorder) Reset() {
 // Spans merges every track into one canonically ordered stream: spans
 // sort by Start, then by track (control plane first), preserving each
 // track's emission order among equal keys. The result is a pure
-// function of per-track content — engines that produce identical
+// function of per-track content — runs that produce identical
 // per-track sequences produce bit-identical merged traces, which is
-// exactly the sequential-vs-sharded trace equivalence contract.
+// exactly the fleet's shard-count trace equivalence contract.
 func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil

@@ -9,11 +9,11 @@
 //
 // A Stream is single-owner mutable state: it is not safe for concurrent
 // use, and its outputs depend on the call sequence. Components that run
-// on parallel workers (the sharded fleet engine's device loops) each own
+// on parallel workers (the fleet's device loops on shard workers) each own
 // their private streams, derived once at construction; fleet-global
 // streams (the router's, the controller's) live on the driver goroutine
 // and are advanced only by the deterministic event order — which is how
-// parallel execution reproduces sequential runs bit for bit.
+// runs on parallel shards reproduce single-shard runs bit for bit.
 package rng
 
 import (

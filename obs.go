@@ -19,9 +19,8 @@ import (
 // Tracing is strictly observational: attaching a recorder never
 // perturbs scheduling, and runs replay bit-identically with or without
 // one (the golden-regression harness enforces this). Traces are
-// deterministic too — equal seeds give byte-identical span streams, on
-// the sequential and sharded fleet engines alike, at every Parallelism
-// setting.
+// deterministic too — equal seeds give byte-identical span streams at
+// every Parallelism setting.
 //
 // A nil *Recorder is valid everywhere and means tracing off (the
 // default, which costs the engines nothing). A recorder accumulates

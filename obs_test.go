@@ -79,14 +79,14 @@ func TestRecorderTraceDeterministicAcrossEngines(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	seq := export(0)
+	ref := export(0)
 	for _, p := range []int{4, -1} {
-		if !bytes.Equal(seq, export(p)) {
-			t.Fatalf("Perfetto export differs between sequential and Parallelism=%d", p)
+		if !bytes.Equal(ref, export(p)) {
+			t.Fatalf("Perfetto export differs between Parallelism=0 and Parallelism=%d", p)
 		}
 	}
 	var doc map[string]any
-	if err := json.Unmarshal(seq, &doc); err != nil {
+	if err := json.Unmarshal(ref, &doc); err != nil {
 		t.Fatalf("Perfetto export is not valid JSON: %v", err)
 	}
 	if _, ok := doc["traceEvents"]; !ok {

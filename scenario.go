@@ -53,8 +53,8 @@ type ScenarioOptions struct {
 	// router); 0 means the scenario default (42). Equal options give
 	// bit-identical runs and therefore bit-identical traces.
 	Seed uint64
-	// Parallelism selects the cluster target's execution engine, exactly
-	// as ClusterConfig.Parallelism: 0 or 1 sequential, >= 2 that many
+	// Parallelism is the cluster target's device shard count, exactly as
+	// ClusterConfig.Parallelism: 0 or 1 one inline shard, >= 2 that many
 	// device shards, negative one shard per core. Traces are bit-identical
 	// at every setting — the committed goldens replay unchanged — so this
 	// only trades wall-clock time on large scenarios. Ignored by the

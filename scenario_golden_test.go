@@ -61,14 +61,14 @@ func TestGoldenScenarioTraces(t *testing.T) {
 }
 
 // TestGoldenScenarioTracesSharded replays every cluster-target golden on
-// the sharded engine: the same committed files must reproduce
+// parallel shards: the same committed files must reproduce
 // bit-identically with parallel event dispatch, at a fixed shard count
-// and at one-shard-per-core — the engines share one behavioral contract,
-// so there is exactly one golden corpus. CI runs this at GOMAXPROCS 1
+// and at one-shard-per-core — every shard count shares one behavioral
+// contract, so there is exactly one golden corpus. CI runs this at GOMAXPROCS 1
 // and 8; the bytes must not depend on either knob.
 func TestGoldenScenarioTracesSharded(t *testing.T) {
 	if *updateGolden {
-		t.Skip("goldens are generated by the sequential engine only")
+		t.Skip("goldens are generated at the default single shard only")
 	}
 	for _, info := range Scenarios() {
 		for _, parallelism := range []int{8, -1} {
