@@ -38,37 +38,29 @@ scenarios:
 # check it against the goldens, and emit BENCH_scenarios.json (the CI
 # gate artifact). Fails on any mismatch or missing golden.
 bench-regress:
-	$(GO) run ./cmd/fastttsbench -scenarios -golden testdata/golden -out .
+	$(GO) run ./cmd/fastttsbench -suite scenarios -golden testdata/golden -out .
 
-# Fleet-core perf smoke: a reduced fastttsbench -perf sweep emitting
+# Fleet-core perf smoke: a reduced fastttsbench perf suite emitting
 # bench-smoke/BENCH_core.json (the CI bench-perf artifact; the directory
-# is gitignored so the smoke run never clobbers the committed artifact),
-# followed by the controller-overhead cells (fleet step cost with the
-# elastic control plane on vs off) merged into the same file.
-# The committed BENCH_core.json is the full {1..1024} x {1k..100k} sweep
-# with the pre-refactor baseline merged via -perf-baseline, plus
-# controller-overhead cells at 256/1024 devices from
-#   fastttsbench -perf -perf-controller -perf-devices 256,1024 \
-#       -perf-requests 10000 -perf-routers rr,least-work \
-#       -perf-merge BENCH_core.json -out .
-# plus the shard-scaling cells (wall clock by shard count, with
-# the measurement host's cores/gomaxprocs recorded) from
-#   fastttsbench -perf -perf-parallel -perf-devices 1024 \
-#       -perf-requests 100000 -perf-routers rr,least-work \
-#       -perf-shards 1,2,4,8 -perf-merge BENCH_core.json -out .
+# is gitignored so the smoke run never clobbers the committed artifact).
+# One pass times every (devices, requests, router) cell as its base run,
+# with the elastic control plane attached, and at each -perf-shards
+# count >= 2, and writes all three sections: current,
+# controller_overhead and parallel_scaling (with the host's cores and
+# GOMAXPROCS). It fails if any shard count serves, rejects or requeues
+# differently from the base run.
+# The committed BENCH_core.json is the full default grid
+# ({1..1024} devices x {1k..100k} requests x five routers x shards
+# {1,2,4,8}), with the previous report's current runs carried forward
+# as its baseline, from
+#   fastttsbench -suite perf -perf-baseline BENCH_core.json \
+#       -perf-label "one fleet engine" -out .
 # Refresh it when a PR claims a fleet-core speedup or touches the
 # control plane's hot path or the shard layer.
 bench-perf:
-	$(GO) run ./cmd/fastttsbench -perf -perf-devices 8,64,256 \
+	$(GO) run ./cmd/fastttsbench -suite perf -perf-devices 8,64,256 \
 		-perf-requests 1000 -perf-routers rr,least-work,jsq,p2c,prefix \
-		-out bench-smoke
-	$(GO) run ./cmd/fastttsbench -perf -perf-controller -perf-devices 8,64,256 \
-		-perf-requests 1000 -perf-routers rr,least-work \
-		-perf-merge bench-smoke/BENCH_core.json -out bench-smoke
-	$(GO) run ./cmd/fastttsbench -perf -perf-parallel -perf-devices 256 \
-		-perf-requests 1000 -perf-routers rr,least-work \
-		-perf-shards 1,4,8 \
-		-perf-merge bench-smoke/BENCH_core.json -out bench-smoke
+		-perf-shards 1,4,8 -out bench-smoke
 
 # KV memory-plane cache sweep: serve the cache-thrash few-shot stream
 # under every router × capacity regime (constrained / unconstrained /
@@ -78,7 +70,7 @@ bench-perf:
 # capacity is plentiful. The run is deterministic, so the emitted cells
 # match the committed BENCH_cache.json up to elapsed_ms timings.
 bench-cache:
-	$(GO) run ./cmd/fastttsbench -cache -out .
+	$(GO) run ./cmd/fastttsbench -suite cache -out .
 
 # Test-time-compute strategy sweep: serve the first-finish-mix and
 # hedged-tail streams under each strategy override on the identical
@@ -89,7 +81,7 @@ bench-cache:
 # hedged-tail. The run is deterministic, so the emitted cells match the
 # committed BENCH_strategy.json up to elapsed_ms timings.
 bench-strategy:
-	$(GO) run ./cmd/fastttsbench -strategy -out .
+	$(GO) run ./cmd/fastttsbench -suite strategy -out .
 
 # Streaming-metrics sweep: feed every synthetic metrics stream —
 # including the 10M-request mega-steady stream, run with no trace
@@ -99,7 +91,7 @@ bench-strategy:
 # error exceeds the documented bound (metrics.SketchRelErr = 1%) or the
 # mega-steady pass retains more than a constant amount of heap.
 bench-metrics:
-	$(GO) run ./cmd/fastttsbench -metrics -out .
+	$(GO) run ./cmd/fastttsbench -suite metrics -out .
 
 # Flight-recorder trace sweep: run every catalog scenario with the span
 # recorder attached — span lifecycles must verify and every request's
@@ -111,7 +103,7 @@ bench-metrics:
 # ui.perfetto.dev). The attribution cells are deterministic and match
 # the committed BENCH_trace.json up to elapsed_ms and overhead timings.
 bench-trace:
-	$(GO) run ./cmd/fastttsbench -trace -out .
+	$(GO) run ./cmd/fastttsbench -suite trace -out .
 
 # Regenerate the golden traces after an *intentional* behavior change.
 # Review the resulting diff like code before committing it.

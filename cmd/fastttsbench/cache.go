@@ -19,17 +19,11 @@ package main
 // scarce. least-work cells ride along as the load-only twin of
 // cache-aware (same cost shape, no residency term).
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"fasttts"
 )
-
-// cacheArtifact is the BENCH_cache.json filename.
-const cacheArtifact = "BENCH_cache.json"
 
 // cacheSweepRequests is the default stream length: long enough that the
 // unconstrained regime reaches its all-resident steady state (every
@@ -77,10 +71,11 @@ type cacheReport struct {
 	OK               bool               `json:"ok"`
 }
 
-// runCacheSweep measures the router × capacity matrix and writes the
-// report; it returns an error when the success metric does not hold.
-func runCacheSweep(outDir string, requests int, seed uint64) error {
+// runCacheSweep measures the router × capacity matrix; its gate fails
+// when the success metric does not hold.
+func runCacheSweep(o suiteOpts) (any, error) {
 	const scenarioName = "cache-thrash"
+	requests, seed := o.requests, o.seed
 	if requests <= 0 {
 		requests = cacheSweepRequests
 	}
@@ -112,7 +107,7 @@ func runCacheSweep(outDir string, requests int, seed uint64) error {
 				KVPlaneBytes: regime.bytes,
 			})
 			if err != nil {
-				return fmt.Errorf("cache sweep %s/%s: %w", router, regime.name, err)
+				return nil, fmt.Errorf("cache sweep %s/%s: %w", router, regime.name, err)
 			}
 			st := run.FleetStats
 			report.Cells = append(report.Cells, cacheCell{
@@ -157,22 +152,8 @@ func runCacheSweep(outDir string, requests int, seed uint64) error {
 		"constrained p99 gain over jsq: %.2fs; unconstrained: %.2fs (want constrained > 0 and > unconstrained)",
 		conGain, unGain)
 
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if outDir != "" {
-		path := filepath.Join(outDir, cacheArtifact)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-	} else {
-		os.Stdout.Write(data)
-	}
 	if !report.OK {
-		return fmt.Errorf("cache sweep: success metric failed — %s", report.Verdict)
+		return report, fmt.Errorf("cache sweep: success metric failed — %s", report.Verdict)
 	}
-	return nil
+	return report, nil
 }

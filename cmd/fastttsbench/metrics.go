@@ -20,11 +20,8 @@ package main
 // reviewable release over release.
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
@@ -32,9 +29,6 @@ import (
 	"fasttts/internal/metrics"
 	"fasttts/internal/scenario"
 )
-
-// metricsArtifact is the BENCH_metrics.json filename.
-const metricsArtifact = "BENCH_metrics.json"
 
 // metricsHeapBudget bounds the streaming pass's retained-heap growth.
 // The accumulator itself is ~20 KiB; the budget leaves room for
@@ -193,29 +187,29 @@ func runScenarioCell(name string, seed uint64, bound float64) (metricsCell, erro
 	return cell, nil
 }
 
-// runMetricsSweep measures every synthetic stream and catalog scenario
-// and writes the report; it returns an error when any cell violates the
-// sketch's documented error bound or the heap budget.
-func runMetricsSweep(outDir string, requests int, seed uint64) error {
+// runMetricsSweep measures every synthetic stream and catalog scenario;
+// its gate fails when any cell violates the sketch's documented error
+// bound or the heap budget.
+func runMetricsSweep(o suiteOpts) (any, error) {
 	report := metricsReport{
 		Schema: "fasttts-bench-metrics/v1",
-		Seed:   seed,
+		Seed:   o.seed,
 		Bound:  metrics.SketchRelErr,
 		OK:     true,
 	}
 	for _, m := range scenario.MetricsStreams() {
-		cell := runSyntheticCell(m, requests, seed, report.Bound)
+		cell := runSyntheticCell(m, o.requests, o.seed, report.Bound)
 		report.Cells = append(report.Cells, cell)
-		fmt.Printf("metrics %-18s %8d reqs  p99 err %.5f  heap %+d B  %dms\n",
+		fmt.Fprintf(o.log, "metrics %-18s %8d reqs  p99 err %.5f  heap %+d B  %dms\n",
 			cell.Stream, cell.Requests, cell.RelErrP99, cell.HeapDeltaBytes, cell.ElapsedMS)
 	}
 	for _, sc := range fasttts.Scenarios() {
-		cell, err := runScenarioCell(sc.Name, seed, report.Bound)
+		cell, err := runScenarioCell(sc.Name, o.seed, report.Bound)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		report.Cells = append(report.Cells, cell)
-		fmt.Printf("metrics %-18s %8d reqs  p99 err %.5f  %dms\n",
+		fmt.Fprintf(o.log, "metrics %-18s %8d reqs  p99 err %.5f  %dms\n",
 			cell.Stream, cell.Requests, cell.RelErrP99, cell.ElapsedMS)
 	}
 	for _, c := range report.Cells {
@@ -232,22 +226,8 @@ func runMetricsSweep(outDir string, requests int, seed uint64) error {
 		"max sketch-vs-exact relative error %.5f across %d cells (bound %.5f); mega-steady streaming heap delta within %d B",
 		report.MaxRelErr, len(report.Cells), report.Bound, metricsHeapBudget)
 
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if outDir != "" {
-		path := filepath.Join(outDir, metricsArtifact)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-	} else {
-		os.Stdout.Write(data)
-	}
 	if !report.OK {
-		return fmt.Errorf("metrics sweep: a cell violated the sketch error bound or heap budget — %s", report.Verdict)
+		return report, fmt.Errorf("metrics sweep: a cell violated the sketch error bound or heap budget — %s", report.Verdict)
 	}
-	return nil
+	return report, nil
 }

@@ -1,24 +1,30 @@
 package main
 
-// Fleet-core performance mode: -perf sweeps fleet size × stream length ×
-// router over a lightweight synthetic workload and emits BENCH_core.json,
-// the committed perf-trajectory artifact. The workload is deliberately
-// cheap per request (tiny prompts, short chains) so the measurement is
-// dominated by the fleet event core — routing, event dispatch, load
-// indexes — rather than by the simulated token arithmetic; wall-time here
-// tracks scheduling overhead, which is exactly what the event-heap
-// rewrite targets.
+// Fleet-core performance suite: -suite perf sweeps fleet size × stream
+// length × router over a lightweight synthetic workload and emits
+// BENCH_core.json, the committed perf-trajectory artifact. The workload
+// is deliberately cheap per request (tiny prompts, short chains) so the
+// measurement is dominated by the fleet event core — routing, event
+// dispatch, load indexes — rather than by the simulated token
+// arithmetic; wall-time here tracks scheduling overhead.
+//
+// Every cell is one (devices, requests, router) fleet timed in several
+// variants, interleaved best-of-N: the base run (no controller, one
+// inline shard), the same fleet with the elastic control plane
+// attached, and the same fleet at each shard count >= 2. The base run
+// is the "current" row, the controller-off side of the
+// controller-overhead row and the 1-shard row of the shard-scaling
+// section, so one pass writes all three sections.
 //
 // A previous report's "current" runs can be carried forward as the
 // "baseline" section with -perf-baseline, so the committed artifact
-// records both the pre-refactor and post-refactor measurements of the
-// same sweep and the speedup between them.
+// records both the earlier and the new measurements of the same sweep
+// and the speedup between them.
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -28,15 +34,13 @@ import (
 	"fasttts/internal/control"
 	"fasttts/internal/core"
 	"fasttts/internal/hw"
+	"fasttts/internal/metrics"
 	"fasttts/internal/model"
 	"fasttts/internal/rng"
 	"fasttts/internal/sched"
 	"fasttts/internal/search"
 	"fasttts/internal/workload"
 )
-
-// coreArtifact is the BENCH_core.json filename.
-const coreArtifact = "BENCH_core.json"
 
 // perfSpec is the synthetic dataset of the perf sweep: very short
 // prompts and chains (mean step ≈ 11 tokens, ≤ 2 steps) keep per-request
@@ -136,12 +140,10 @@ type perfReport struct {
 	// (devices, requests) cell; > 1 means the current code is faster.
 	Speedups []perfSpeedup `json:"speedups,omitempty"`
 	// ControllerOverhead holds the controller-on-vs-off cells (see
-	// ctrlRun), produced by -perf-controller and merged alongside the
-	// main sweep.
+	// ctrlRun), one per "current" run.
 	ControllerOverhead []ctrlRun `json:"controller_overhead,omitempty"`
 	// ParallelScaling holds the shard-scaling wall-clock cells (see
-	// parRun), produced by -perf-parallel and merged alongside the main
-	// sweep.
+	// parRun), one per "current" run and shard count.
 	ParallelScaling *parSection `json:"parallel_scaling,omitempty"`
 }
 
@@ -201,103 +203,164 @@ func perfStream(requests, devices int, seed uint64) []core.Request {
 	return reqs
 }
 
-// perfCell measures one sweep cell: build a fresh fleet, serve the
-// stream, time Fleet.Run. Small cells are repeated and the minimum wall
-// time kept, damping scheduler noise.
-func perfCell(devices, requests int, router string, seed uint64) (perfRun, error) {
+// perfTally is what a cell keeps of one variant's outcome.
+type perfTally struct {
+	served, rejected, requeues int
+	control                    *metrics.ControlStats
+}
+
+// perfCell measures one (devices, requests, router) cell. Variant 0 is
+// the base run, variant 1 attaches the control plane, and variant 2+i
+// runs at multi[i] shards, where multi holds the shard counts >= 2 that
+// do not exceed the fleet (more shards than devices adds only idle
+// workers). Every shard count must serve the identical results, so
+// served, rejected and requeues are checked against the base run; the
+// controller run is exempt, since it changes the fleet's membership.
+func perfCell(devices, requests int, router string, shards []int, seed uint64) (perfRun, ctrlRun, []parRun, error) {
+	var multi []int
+	for _, ns := range shards {
+		if ns >= 2 && ns <= devices {
+			multi = append(multi, ns)
+		}
+	}
+	// Small cells repeat to damp scheduler noise.
 	reps := 1
 	if requests < 10000 {
 		reps = 3
 	}
-	run := perfRun{Devices: devices, Requests: requests, Router: router}
 	reqs := perfStream(requests, devices, seed)
-	for rep := 0; rep < reps; rep++ {
+	tally := make([]perfTally, 2+len(multi))
+	best, err := bestOf(len(tally), reps, func(v, rep int) (time.Duration, error) {
 		specs, err := perfDevices(devices, seed)
 		if err != nil {
-			return run, err
+			return 0, err
 		}
 		r, err := cluster.RouterByName(router)
 		if err != nil {
-			return run, err
+			return 0, err
 		}
-		fleet, err := cluster.New(cluster.Config{Devices: specs, Router: r, Seed: seed})
+		cfg := cluster.Config{Devices: specs, Router: r, Seed: seed}
+		if v == 1 {
+			if cfg.Control, err = perfControl(devices, requests, seed); err != nil {
+				return 0, err
+			}
+		} else if v >= 2 {
+			cfg.Shards = multi[v-2]
+		}
+		fleet, err := cluster.New(cfg)
 		if err != nil {
-			return run, err
+			return 0, err
 		}
 		start := time.Now()
 		out, err := fleet.Run(reqs)
 		wall := time.Since(start)
 		if err != nil {
-			return run, err
-		}
-		ms := float64(wall.Nanoseconds()) / 1e6
-		if rep == 0 || ms < run.WallMS {
-			run.WallMS = ms
+			return 0, err
 		}
 		if rep == 0 {
+			t := perfTally{requeues: out.Requeues, control: out.Control}
 			for _, res := range out.Results {
 				if res.Rejected {
-					run.Rejected++
+					t.rejected++
 				} else {
-					run.Served++
+					t.served++
 				}
 			}
-			run.Requeues = out.Requeues
+			tally[v] = t
+		}
+		return wall, nil
+	})
+	if err != nil {
+		return perfRun{}, ctrlRun{}, nil, err
+	}
+
+	base := tally[0]
+	run := perfRun{
+		Devices: devices, Requests: requests, Router: router, WallMS: best[0],
+		Served: base.served, Rejected: base.rejected, Requeues: base.requeues,
+		EventsPerSec: float64(base.served+base.rejected) / (best[0] / 1e3),
+	}
+	ctl := ctrlRun{
+		Devices: devices, Requests: requests, Router: router,
+		OffMS: best[0], OnMS: best[1], OverheadPct: round2((best[1] - best[0]) / best[0] * 100),
+	}
+	if c := tally[1].control; c != nil {
+		ctl.Ticks, ctl.ScaleUps, ctl.ScaleDowns = c.Ticks, c.ScaleUps, c.ScaleDowns
+	}
+	row := func(ns, v int) parRun {
+		return parRun{
+			Devices: devices, Requests: requests, Router: router, Shards: ns,
+			WallMS: best[v], SpeedupVsSeq: round2(best[0] / best[v]), Served: base.served,
+			EventsPerSec: float64(requests) / (best[v] / 1e3),
 		}
 	}
-	if run.WallMS > 0 {
-		run.EventsPerSec = float64(run.Served+run.Rejected) / (run.WallMS / 1e3)
+	par := []parRun{row(1, 0)}
+	for i, ns := range multi {
+		if t := tally[2+i]; t.served != base.served || t.rejected != base.rejected || t.requeues != base.requeues {
+			return perfRun{}, ctrlRun{}, nil, fmt.Errorf(
+				"%d shards served/rejected/requeues %d/%d/%d != %d/%d/%d at 1 shard (shard counts must be bit-identical)",
+				ns, t.served, t.rejected, t.requeues, base.served, base.rejected, base.requeues)
+		}
+		par = append(par, row(ns, 2+i))
 	}
-	return run, nil
+	return run, ctl, par, nil
 }
 
-// runPerfSweep executes the matrix and writes BENCH_core.json.
-func runPerfSweep(deviceList, requestList []int, routers []string, seed uint64, label, baselinePath, outDir string) error {
+// runPerfSweep executes the matrix; the perf suite has no gate beyond
+// the shard-identity check.
+func runPerfSweep(o suiteOpts) (any, error) {
+	devList, err := parseIntList(o.perfDevices)
+	if err != nil {
+		return nil, fmt.Errorf("-perf-devices: %w", err)
+	}
+	reqList, err := parseIntList(o.perfRequests)
+	if err != nil {
+		return nil, fmt.Errorf("-perf-requests: %w", err)
+	}
+	routers, err := parseRouterList(o.perfRouters)
+	if err != nil {
+		return nil, fmt.Errorf("-perf-routers: %w", err)
+	}
+	shards, err := parseIntList(o.perfShards)
+	if err != nil {
+		return nil, fmt.Errorf("-perf-shards: %w", err)
+	}
 	report := perfReport{
-		Schema:    "fasttts-bench-core/v1",
-		Seed:      seed,
-		GoVersion: runtime.Version(),
-		Current:   perfSection{Label: label},
+		Schema:          "fasttts-bench-core/v1",
+		Seed:            o.seed,
+		GoVersion:       runtime.Version(),
+		Current:         perfSection{Label: o.perfLabel},
+		ParallelScaling: &parSection{Cores: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)},
 	}
-	if baselinePath != "" {
-		base, err := loadPerfBaseline(baselinePath)
-		if err != nil {
-			return err
+	if o.perfBaseline != "" {
+		if report.Baseline, err = loadPerfBaseline(o.perfBaseline); err != nil {
+			return nil, err
 		}
-		report.Baseline = base
 	}
-	for _, nd := range deviceList {
-		for _, nr := range requestList {
+	for _, nd := range devList {
+		for _, nr := range reqList {
 			for _, router := range routers {
 				start := time.Now()
-				run, err := perfCell(nd, nr, router, seed)
+				run, ctl, par, err := perfCell(nd, nr, router, shards, o.seed)
 				if err != nil {
-					return fmt.Errorf("perf %dx%d/%s: %w", nd, nr, router, err)
+					return nil, fmt.Errorf("perf %dx%d/%s: %w", nd, nr, router, err)
 				}
 				report.Current.Runs = append(report.Current.Runs, run)
-				fmt.Fprintf(os.Stderr, "perf %4d dev x %6d req %-10s %10.1f ms (%s)\n",
-					nd, nr, router, run.WallMS, time.Since(start).Round(time.Millisecond))
+				report.ControllerOverhead = append(report.ControllerOverhead, ctl)
+				report.ParallelScaling.Runs = append(report.ParallelScaling.Runs, par...)
+				var scaling strings.Builder
+				for _, p := range par[1:] {
+					fmt.Fprintf(&scaling, "  @%d %.2fx", p.Shards, p.SpeedupVsSeq)
+				}
+				fmt.Fprintf(o.log, "perf %4d dev x %6d req %-10s %10.1f ms  ctl %+6.1f%%%s (%s)\n",
+					nd, nr, router, run.WallMS, ctl.OverheadPct, scaling.String(), time.Since(start).Round(time.Millisecond))
 			}
 		}
 	}
 	if report.Baseline != nil {
 		report.Speedups = perfSpeedups(report.Baseline.Runs, report.Current.Runs)
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if outDir != "" {
-		path := filepath.Join(outDir, coreArtifact)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-		return nil
-	}
-	os.Stdout.Write(data)
-	return nil
+	return report, nil
 }
 
 // perfControl builds the control-plane configuration of a controller-on
@@ -318,247 +381,6 @@ func perfControl(devices, requests int, seed uint64) (*cluster.ControlConfig, er
 		WarmupDelay: interval / 2,
 		SLOLatency:  10,
 	}, nil
-}
-
-// ctrlCell measures one controller-overhead cell: the identical fleet
-// and stream timed with the control plane detached and attached.
-func ctrlCell(devices, requests int, router string, seed uint64) (ctrlRun, error) {
-	run := ctrlRun{Devices: devices, Requests: requests, Router: router}
-	reqs := perfStream(requests, devices, seed)
-	reps := 1
-	if requests < 10000 {
-		reps = 3
-	}
-	measure := func(withCtl bool) (float64, *cluster.Outcome, error) {
-		best := 0.0
-		var kept *cluster.Outcome
-		for rep := 0; rep < reps; rep++ {
-			specs, err := perfDevices(devices, seed)
-			if err != nil {
-				return 0, nil, err
-			}
-			r, err := cluster.RouterByName(router)
-			if err != nil {
-				return 0, nil, err
-			}
-			cfg := cluster.Config{Devices: specs, Router: r, Seed: seed}
-			if withCtl {
-				if cfg.Control, err = perfControl(devices, requests, seed); err != nil {
-					return 0, nil, err
-				}
-			}
-			fleet, err := cluster.New(cfg)
-			if err != nil {
-				return 0, nil, err
-			}
-			start := time.Now()
-			out, err := fleet.Run(reqs)
-			wall := float64(time.Since(start).Nanoseconds()) / 1e6
-			if err != nil {
-				return 0, nil, err
-			}
-			if rep == 0 || wall < best {
-				best = wall
-			}
-			if rep == 0 {
-				kept = out
-			}
-		}
-		return best, kept, nil
-	}
-	off, _, err := measure(false)
-	if err != nil {
-		return run, err
-	}
-	on, out, err := measure(true)
-	if err != nil {
-		return run, err
-	}
-	run.OffMS, run.OnMS = off, on
-	if off > 0 {
-		run.OverheadPct = round2((on - off) / off * 100)
-	}
-	if out.Control != nil {
-		run.Ticks = out.Control.Ticks
-		run.ScaleUps = out.Control.ScaleUps
-		run.ScaleDowns = out.Control.ScaleDowns
-	}
-	return run, nil
-}
-
-// runControllerSweep measures the controller-overhead cells and writes
-// (or merges into) BENCH_core.json: when mergePath names an existing
-// report, its baseline/current/speedup sections are preserved and only
-// the controller_overhead section is replaced.
-func runControllerSweep(deviceList, requestList []int, routers []string, seed uint64, mergePath, outDir string) error {
-	report := perfReport{
-		Schema:    "fasttts-bench-core/v1",
-		Seed:      seed,
-		GoVersion: runtime.Version(),
-		Current:   perfSection{Label: "event-heap"},
-	}
-	if mergePath != "" {
-		data, err := os.ReadFile(mergePath)
-		if err != nil {
-			return fmt.Errorf("perf merge: %w", err)
-		}
-		if err := json.Unmarshal(data, &report); err != nil {
-			return fmt.Errorf("perf merge %s: %w", mergePath, err)
-		}
-	}
-	report.ControllerOverhead = nil
-	for _, nd := range deviceList {
-		for _, nr := range requestList {
-			for _, router := range routers {
-				start := time.Now()
-				run, err := ctrlCell(nd, nr, router, seed)
-				if err != nil {
-					return fmt.Errorf("perf-controller %dx%d/%s: %w", nd, nr, router, err)
-				}
-				report.ControllerOverhead = append(report.ControllerOverhead, run)
-				fmt.Fprintf(os.Stderr, "ctrl %4d dev x %6d req %-10s off %9.1f ms  on %9.1f ms  %+6.1f%% (%s)\n",
-					nd, nr, router, run.OffMS, run.OnMS, run.OverheadPct, time.Since(start).Round(time.Millisecond))
-			}
-		}
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if outDir != "" {
-		path := filepath.Join(outDir, coreArtifact)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-		return nil
-	}
-	os.Stdout.Write(data)
-	return nil
-}
-
-// parCell measures one parallel-scaling cell: identical fleet, stream,
-// and seed to the router sweep, run on the engine the shard count
-// selects.
-func parCell(devices, requests, shards int, router string, seed uint64) (parRun, error) {
-	reps := 1
-	if requests < 10000 {
-		reps = 3
-	}
-	run := parRun{Devices: devices, Requests: requests, Router: router, Shards: shards}
-	reqs := perfStream(requests, devices, seed)
-	for rep := 0; rep < reps; rep++ {
-		specs, err := perfDevices(devices, seed)
-		if err != nil {
-			return run, err
-		}
-		r, err := cluster.RouterByName(router)
-		if err != nil {
-			return run, err
-		}
-		fleet, err := cluster.New(cluster.Config{Devices: specs, Router: r, Seed: seed, Shards: shards})
-		if err != nil {
-			return run, err
-		}
-		start := time.Now()
-		out, err := fleet.Run(reqs)
-		wall := time.Since(start)
-		if err != nil {
-			return run, err
-		}
-		ms := float64(wall.Nanoseconds()) / 1e6
-		if rep == 0 || ms < run.WallMS {
-			run.WallMS = ms
-		}
-		if rep == 0 {
-			for _, res := range out.Results {
-				if !res.Rejected {
-					run.Served++
-				}
-			}
-		}
-	}
-	if run.WallMS > 0 {
-		run.EventsPerSec = float64(requests) / (run.WallMS / 1e3)
-	}
-	return run, nil
-}
-
-// runParallelSweep measures the fleet engine's wall-clock scaling
-// across shard counts and writes (or merges into) BENCH_core.json: when
-// mergePath names an existing report, its other sections are preserved
-// and only parallel_scaling is replaced. Shard count 1 (every device
-// stepped inline) is always measured first per (devices, requests, router) cell
-// as the speedup denominator; the serving results themselves are
-// bit-identical at every shard count, so served counts must agree across
-// a cell's rows — the sweep fails loudly if they do not.
-func runParallelSweep(deviceList, requestList, shardList []int, routers []string, seed uint64, mergePath, outDir string) error {
-	report := perfReport{
-		Schema:    "fasttts-bench-core/v1",
-		Seed:      seed,
-		GoVersion: runtime.Version(),
-		Current:   perfSection{Label: "event-heap"},
-	}
-	if mergePath != "" {
-		data, err := os.ReadFile(mergePath)
-		if err != nil {
-			return fmt.Errorf("perf merge: %w", err)
-		}
-		if err := json.Unmarshal(data, &report); err != nil {
-			return fmt.Errorf("perf merge %s: %w", mergePath, err)
-		}
-	}
-	shards := shardList
-	if len(shards) == 0 || shards[0] != 1 {
-		shards = append([]int{1}, shards...)
-	}
-	sec := &parSection{Cores: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	for _, nd := range deviceList {
-		for _, nr := range requestList {
-			for _, router := range routers {
-				seqMS, seqServed := 0.0, 0
-				for _, ns := range shards {
-					if ns > nd {
-						continue // more shards than devices adds only idle workers
-					}
-					start := time.Now()
-					run, err := parCell(nd, nr, ns, router, seed)
-					if err != nil {
-						return fmt.Errorf("perf-parallel %dx%d/%s@%d: %w", nd, nr, router, ns, err)
-					}
-					if ns == 1 {
-						seqMS, seqServed = run.WallMS, run.Served
-					} else if run.Served != seqServed {
-						return fmt.Errorf("perf-parallel %dx%d/%s@%d: served %d != %d at 1 shard (shard counts must be bit-identical)",
-							nd, nr, router, ns, run.Served, seqServed)
-					}
-					if seqMS > 0 && run.WallMS > 0 {
-						run.SpeedupVsSeq = round2(seqMS / run.WallMS)
-					}
-					sec.Runs = append(sec.Runs, run)
-					fmt.Fprintf(os.Stderr, "par  %4d dev x %6d req %-10s @%2d shards %10.1f ms  %5.2fx (%s)\n",
-						nd, nr, router, ns, run.WallMS, run.SpeedupVsSeq, time.Since(start).Round(time.Millisecond))
-				}
-			}
-		}
-	}
-	report.ParallelScaling = sec
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if outDir != "" {
-		path := filepath.Join(outDir, coreArtifact)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-		return nil
-	}
-	os.Stdout.Write(data)
-	return nil
 }
 
 // loadPerfBaseline reads a previous report and carries its "current"

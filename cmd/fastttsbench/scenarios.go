@@ -8,7 +8,6 @@ package main
 // makes the sweep fail with a nonzero exit.
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,9 +16,6 @@ import (
 	"fasttts"
 	"fasttts/internal/trace"
 )
-
-// scenariosArtifact is the BENCH_scenarios.json filename.
-const scenariosArtifact = "BENCH_scenarios.json"
 
 // scenarioCell is one matrix entry of the regression report.
 type scenarioCell struct {
@@ -52,22 +48,22 @@ type scenarioReport struct {
 	OK        bool           `json:"ok"`
 }
 
-// runScenarioRegress sweeps the matrix and writes the report; it returns
-// an error when any cell fails conformance.
-func runScenarioRegress(goldenDir, outDir string, requests int, seed uint64) error {
-	report := scenarioReport{Schema: "fasttts-bench-scenarios/v1", Seed: seed, GoldenDir: goldenDir, OK: true}
+// runScenarioRegress sweeps the matrix; its gate fails when any cell
+// fails conformance.
+func runScenarioRegress(o suiteOpts) (any, error) {
+	report := scenarioReport{Schema: "fasttts-bench-scenarios/v1", Seed: o.seed, GoldenDir: o.golden, OK: true}
 	for _, info := range fasttts.Scenarios() {
 		for _, target := range []fasttts.ScenarioTarget{fasttts.ScenarioServer, fasttts.ScenarioCluster} {
 			start := time.Now()
 			run, err := fasttts.RunScenario(info.Name, fasttts.ScenarioOptions{
-				Target: target, Requests: requests, Seed: seed,
+				Target: target, Requests: o.requests, Seed: o.seed,
 			})
 			if err != nil {
-				return fmt.Errorf("scenario %s/%s: %w", info.Name, target, err)
+				return nil, fmt.Errorf("scenario %s/%s: %w", info.Name, target, err)
 			}
 			got, err := run.TraceJSONL()
 			if err != nil {
-				return fmt.Errorf("scenario %s/%s: %w", info.Name, target, err)
+				return nil, fmt.Errorf("scenario %s/%s: %w", info.Name, target, err)
 			}
 			cell := scenarioCell{
 				Scenario:      run.Name,
@@ -87,8 +83,8 @@ func runScenarioRegress(goldenDir, outDir string, requests int, seed uint64) err
 				cell.Requeues = run.FleetStats.Requeues
 				cell.FailedDevices = run.FleetStats.FailedDevices
 			}
-			if goldenDir != "" {
-				cell.Golden, cell.Detail = conform(goldenDir, run.Name, target, got)
+			if o.golden != "" {
+				cell.Golden, cell.Detail = conform(o.golden, run.Name, target, got)
 				if cell.Golden != "match" {
 					report.OK = false
 				}
@@ -97,24 +93,10 @@ func runScenarioRegress(goldenDir, outDir string, requests int, seed uint64) err
 		}
 	}
 
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if outDir != "" {
-		path := filepath.Join(outDir, scenariosArtifact)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-	} else {
-		os.Stdout.Write(data)
-	}
 	if !report.OK {
-		return fmt.Errorf("scenario conformance failed (see %s cells with golden != match; regenerate intentional changes with `make golden`)", scenariosArtifact)
+		return report, fmt.Errorf("scenario conformance failed (see BENCH_scenarios.json cells with golden != match; regenerate intentional changes with `make golden`)")
 	}
-	return nil
+	return report, nil
 }
 
 // conform compares a produced trace against its committed golden.

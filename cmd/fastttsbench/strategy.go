@@ -17,18 +17,12 @@ package main
 // Per scenario the cells also feed metrics.StrategyFrontier, recording
 // which strategies survive on the tokens-vs-p99 Pareto plane.
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"fasttts"
 	"fasttts/internal/metrics"
 )
-
-// strategyArtifact is the BENCH_strategy.json filename.
-const strategyArtifact = "BENCH_strategy.json"
 
 // strategyCell is one scenario × strategy measurement.
 type strategyCell struct {
@@ -58,9 +52,9 @@ type strategyReport struct {
 	OK       bool                `json:"ok"`
 }
 
-// runStrategySweep measures the scenario × strategy matrix and writes
-// the report; it returns an error when a success metric does not hold.
-func runStrategySweep(outDir string, requests int, seed uint64) error {
+// runStrategySweep measures the scenario × strategy matrix; its gate
+// fails when a success metric does not hold.
+func runStrategySweep(o suiteOpts) (any, error) {
 	sweeps := []struct {
 		scenario   string
 		strategies []string
@@ -70,8 +64,8 @@ func runStrategySweep(outDir string, requests int, seed uint64) error {
 	}
 	report := strategyReport{
 		Schema:   "fasttts-bench-strategy/v1",
-		Seed:     seed,
-		Requests: requests,
+		Seed:     o.seed,
+		Requests: o.requests,
 		Frontier: map[string][]string{},
 	}
 	p99 := map[string]map[string]float64{}
@@ -84,12 +78,12 @@ func runStrategySweep(outDir string, requests int, seed uint64) error {
 			start := time.Now()
 			run, err := fasttts.RunScenario(sw.scenario, fasttts.ScenarioOptions{
 				Target:   fasttts.ScenarioCluster,
-				Requests: requests,
-				Seed:     seed,
+				Requests: o.requests,
+				Seed:     o.seed,
 				Strategy: strategy,
 			})
 			if err != nil {
-				return fmt.Errorf("strategy sweep %s/%s: %w", sw.scenario, strategy, err)
+				return nil, fmt.Errorf("strategy sweep %s/%s: %w", sw.scenario, strategy, err)
 			}
 			cell := measureStrategyCell(run)
 			cell.Strategy = strategy
@@ -119,24 +113,10 @@ func runStrategySweep(outDir string, requests int, seed uint64) error {
 		"first-finish p99 gain over full-beam: %.2fs (accuracy delta %+.3f); hedged p99 gain: %.2fs (want both gains > 0)",
 		ffGain, accDelta, hedgeGain)
 
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if outDir != "" {
-		path := filepath.Join(outDir, strategyArtifact)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-	} else {
-		os.Stdout.Write(data)
-	}
 	if !report.OK {
-		return fmt.Errorf("strategy sweep: success metric failed — %s", report.Verdict)
+		return report, fmt.Errorf("strategy sweep: success metric failed — %s", report.Verdict)
 	}
-	return nil
+	return report, nil
 }
 
 // measureStrategyCell reduces one cluster run to a sweep cell. Accuracy

@@ -14,7 +14,6 @@ package main
 //     streams, best-of-N so scheduler noise cancels; recorder-on must
 //     cost at most 10% — tracing is an always-affordable observer.
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -24,12 +23,9 @@ import (
 	"fasttts"
 )
 
-// traceArtifact is the BENCH_trace.json filename; tracePerfetto the
-// companion Perfetto export of the representative scenario.
-const (
-	traceArtifact = "BENCH_trace.json"
-	tracePerfetto = "trace.json"
-)
+// tracePerfetto is the companion Perfetto export of the representative
+// scenario, written next to BENCH_trace.json.
+const tracePerfetto = "trace.json"
 
 // traceOverheadRounds is the best-of-N repetition count per engine.
 const traceOverheadRounds = 5
@@ -77,10 +73,11 @@ type traceReport struct {
 	OK          bool                `json:"ok"`
 }
 
-// runTraceSweep measures the catalog and writes the report plus the
-// representative Perfetto trace; it returns an error when the overhead
-// or attribution-sum gate fails.
-func runTraceSweep(outDir string, requests int, seed uint64) error {
+// runTraceSweep measures the catalog and, with an output directory,
+// writes the representative Perfetto trace; its gate fails when the
+// overhead or attribution-sum gate fails.
+func runTraceSweep(o suiteOpts) (any, error) {
+	requests, seed := o.requests, o.seed
 	report := traceReport{
 		Schema:   "fasttts-bench-trace/v1",
 		Seed:     seed,
@@ -92,7 +89,7 @@ func runTraceSweep(outDir string, requests int, seed uint64) error {
 	for _, info := range fasttts.Scenarios() {
 		cell, err := measureTraceAttr(info.Name, requests, seed)
 		if err != nil {
-			return fmt.Errorf("trace sweep %s: %w", info.Name, err)
+			return nil, fmt.Errorf("trace sweep %s: %w", info.Name, err)
 		}
 		if !cell.SumExact {
 			badAttr++
@@ -110,7 +107,7 @@ func runTraceSweep(outDir string, requests int, seed uint64) error {
 	for _, name := range []string{"steady", "heavy-tail", "fleet-churn"} {
 		cell, err := measureTraceOverhead(name, overheadReqs, seed)
 		if err != nil {
-			return fmt.Errorf("trace sweep %s: %w", name, err)
+			return nil, fmt.Errorf("trace sweep %s: %w", name, err)
 		}
 		if !cell.OK {
 			badOverhead++
@@ -129,27 +126,17 @@ func runTraceSweep(outDir string, requests int, seed uint64) error {
 		"attribution exact on %d/%d scenarios (1-ulp component sums); worst recorder-on overhead %.1f%% (gate %.0f%%)",
 		len(report.Attribution)-badAttr, len(report.Attribution), 100*worst, 100*traceOverheadGate)
 
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if outDir != "" {
-		path := filepath.Join(outDir, traceArtifact)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			return err
+	if o.out != "" {
+		path := filepath.Join(o.out, tracePerfetto)
+		if err := writeTracePerfetto(path, requests, seed); err != nil {
+			return nil, err
 		}
-		fmt.Printf("wrote %s\n", path)
-		if err := writeTracePerfetto(filepath.Join(outDir, tracePerfetto), requests, seed); err != nil {
-			return err
-		}
-	} else {
-		os.Stdout.Write(data)
+		fmt.Fprintf(o.log, "wrote %s\n", path)
 	}
 	if !report.OK {
-		return fmt.Errorf("trace sweep: gate failed — %s", report.Verdict)
+		return report, fmt.Errorf("trace sweep: gate failed — %s", report.Verdict)
 	}
-	return nil
+	return report, nil
 }
 
 // measureTraceAttr runs one scenario with the recorder attached and
@@ -200,39 +187,29 @@ func measureTraceAttr(name string, requests int, seed uint64) (traceAttrCell, er
 // interleaved best-of-N.
 func measureTraceOverhead(name string, requests int, seed uint64) (traceOverheadCell, error) {
 	cell := traceOverheadCell{Scenario: name, Requests: requests}
-	runOnce := func(rec *fasttts.Recorder) (float64, error) {
+	// Variant 0 runs recorder-off, variant 1 recorder-on.
+	best, err := bestOf(2, traceOverheadRounds, func(v, _ int) (time.Duration, error) {
+		var rec *fasttts.Recorder
+		if v == 1 {
+			rec = fasttts.NewRecorder()
+		}
 		start := time.Now()
-		if _, err := fasttts.RunScenario(name, fasttts.ScenarioOptions{
+		_, err := fasttts.RunScenario(name, fasttts.ScenarioOptions{
 			Target:   fasttts.ScenarioCluster,
 			Requests: requests,
 			Seed:     seed,
 			Trace:    rec,
-		}); err != nil {
-			return 0, err
+		})
+		wall := time.Since(start)
+		if rec != nil {
+			cell.Spans = rec.SpanCount()
 		}
-		return float64(time.Since(start).Microseconds()) / 1e3, nil
+		return wall, err
+	})
+	if err != nil {
+		return cell, err
 	}
-	// Interleave off/on rounds so clock-frequency and cache drift hit
-	// both engines alike; best-of-N per engine drops the rest.
-	cell.OffMS, cell.OnMS = math.Inf(1), math.Inf(1)
-	for i := 0; i < traceOverheadRounds; i++ {
-		off, err := runOnce(nil)
-		if err != nil {
-			return cell, err
-		}
-		if off < cell.OffMS {
-			cell.OffMS = off
-		}
-		rec := fasttts.NewRecorder()
-		on, err := runOnce(rec)
-		if err != nil {
-			return cell, err
-		}
-		if on < cell.OnMS {
-			cell.OnMS = on
-		}
-		cell.Spans = rec.SpanCount()
-	}
+	cell.OffMS, cell.OnMS = best[0], best[1]
 	cell.Overhead = cell.OnMS/cell.OffMS - 1
 	cell.OK = cell.Overhead <= traceOverheadGate
 	return cell, nil
@@ -259,9 +236,5 @@ func writeTracePerfetto(path string, requests int, seed uint64) error {
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
+	return f.Close()
 }

@@ -62,7 +62,7 @@ func TestDuplicateTagsRejected(t *testing.T) {
 	}
 }
 
-// benchSpec mirrors the fastttsbench -perf workload: tiny prompts and
+// benchSpec mirrors the fastttsbench perf-suite workload: tiny prompts and
 // chains so the fleet core, not token arithmetic, dominates.
 var benchSpec = workload.DatasetSpec{
 	Name: "BENCH", Problems: 64,

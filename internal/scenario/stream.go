@@ -7,7 +7,7 @@ package scenario
 // ServeSamples one at a time through a callback, retaining nothing, so
 // a 10M-request pass holds only the consumer's aggregation state in
 // memory. That makes them the test bed for the streaming quantile
-// sketch: the bench harness (fastttsbench -metrics) feeds each stream
+// sketch: the bench harness (fastttsbench -suite metrics) feeds each stream
 // once into a constant-memory metrics.ServeAccum and once into the
 // exact sort-based path, and asserts the sketch's p50/p95/p99 stay
 // within the documented relative-error bound across distribution shapes

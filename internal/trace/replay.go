@@ -13,7 +13,6 @@ package trace
 // shortest-round-trip formatter, so equal runs give equal bytes.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -128,15 +127,17 @@ func (t *RunTrace) WriteJSONL(w io.Writer) error {
 	return err
 }
 
-// DecodeJSONL parses a canonical JSONL trace.
+// DecodeJSONL parses a canonical JSONL trace. Lines have no length
+// limit: EncodeJSONL escapes characters such as '<' to six bytes, so any
+// cap on the input would reject the canonical encoding of a trace it had
+// accepted.
 func DecodeJSONL(data []byte) (*RunTrace, error) {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	if !sc.Scan() {
+	if len(data) == 0 {
 		return nil, fmt.Errorf("trace: empty trace")
 	}
+	raw, rest, _ := bytes.Cut(data, []byte{'\n'})
 	var h header
-	if err := json.Unmarshal(sc.Bytes(), &h); err != nil {
+	if err := json.Unmarshal(raw, &h); err != nil {
 		return nil, fmt.Errorf("trace: parsing header: %w", err)
 	}
 	if h.Schema != Schema {
@@ -144,8 +145,8 @@ func DecodeJSONL(data []byte) (*RunTrace, error) {
 	}
 	t := &RunTrace{Scenario: h.Scenario, Target: h.Target, Seed: h.Seed, Requests: h.Requests}
 	sawStats := false
-	for line := 2; sc.Scan(); line++ {
-		raw := sc.Bytes()
+	for line := 2; len(rest) > 0; line++ {
+		raw, rest, _ = bytes.Cut(rest, []byte{'\n'})
 		if len(bytes.TrimSpace(raw)) == 0 {
 			continue
 		}
@@ -163,9 +164,6 @@ func DecodeJSONL(data []byte) (*RunTrace, error) {
 			return nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
 		t.Records = append(t.Records, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: reading trace: %w", err)
 	}
 	if !sawStats {
 		return nil, fmt.Errorf("trace: missing stats line")

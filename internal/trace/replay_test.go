@@ -119,6 +119,28 @@ func TestDecodeSkipsBlankLines(t *testing.T) {
 	}
 }
 
+// TestDecodeAcceptsItsOwnLongLines pins the encode -> decode round trip
+// for a header that EncodeJSONL escapes to more than 1 MiB: every '<'
+// of the scenario name becomes the six bytes \u003c.
+func TestDecodeAcceptsItsOwnLongLines(t *testing.T) {
+	in := `{"schema":"` + Schema + `","scenario":"` + strings.Repeat("<", 200_000) + `"}` + "\n" + `{"stats":{}}` + "\n"
+	tr, err := DecodeJSONL([]byte(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := tr.EncodeJSONL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeJSONL(enc)
+	if err != nil {
+		t.Fatalf("decoding the %d-byte canonical encoding: %v", len(enc), err)
+	}
+	if back.Scenario != tr.Scenario {
+		t.Fatal("scenario name changed in the round trip")
+	}
+}
+
 func TestDiffReportsFirstDivergence(t *testing.T) {
 	base := sampleTrace()
 	cases := []struct {
